@@ -445,9 +445,9 @@ func (b *StoreBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	return &BackendStats{StoreStats: b.st.Stats()}, nil
 }
 
-// Healthz implements Backend with the same write-path checks the
-// /healthz endpoint runs (minus redial sources, which belong to the
-// serving process, not the store).
+// Healthz implements Backend with the store's write-path checks — the
+// ones /healthz reports; the handler adds redial sources, which belong
+// to the serving process, not the store.
 func (b *StoreBackend) Healthz(ctx context.Context) *ShardHealth {
 	h := &ShardHealth{Name: b.name, Status: "ok", Events: b.st.Len()}
 	sh := b.st.s.Health()

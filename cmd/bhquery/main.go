@@ -1,7 +1,10 @@
 // Command bhquery answers longitudinal blackholing queries from a
 // persistent event store — either by opening a store directory
-// read-only, or by talking to a running bhserve's HTTP API. No BGP
-// data is replayed: answers come from the store's indexes.
+// read-only, or by talking to a running bhserve's (or bhroute's) HTTP
+// API. No BGP data is replayed: answers come from the store's indexes.
+// Every source resolves to the same query surface (a Backend), so the
+// same filter prints the same events from a store, one server or a
+// server list:
 //
 //	bhquery -store ./bhstore                          # all events, table
 //	bhquery -store ./bhstore -prefix 10.1.2.3 -mode lpm
@@ -18,6 +21,12 @@
 // event order, exactly as a bhroute router would serve them —
 //
 //	bhquery -server http://shard-a:8080,http://shard-b:8080,http://shard-c:8080 -origin 65001
+//
+// -limit 0 means every match from every source (a server's 10000-event
+// JSON default is lifted). -stats, -figure4 and -figure8 against a
+// single server print that server's own document; against a store or a
+// server list they are computed through the Backend, merged across the
+// list (-figure8 needs a store or a single server).
 //
 // With -enrich every returned event carries its legitimacy view — RPKI
 // validity per inferred origin, documentation status per matched
@@ -47,6 +56,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -110,7 +120,7 @@ func main() {
 		deletePrefix: *deletePrefix, deleteUpTo: *deleteUpTo, compact: *compact,
 		replicateTo: *replicateTo,
 		watch:       *watch, watchRules: watchRules, metrics: *metrics, authToken: *authToken,
-	}); err != nil {
+	}, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bhquery:", err)
 		os.Exit(1)
 	}
@@ -151,7 +161,8 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-func run(c *config) error {
+// run executes one invocation, printing its answer to out.
+func run(c *config, out io.Writer) error {
 	if (c.storeDir == "") == (c.server == "") {
 		return fmt.Errorf("exactly one of -store or -server is required")
 	}
@@ -174,27 +185,21 @@ func run(c *config) error {
 		if c.server != "" {
 			return fmt.Errorf("admin verbs need direct store access; use -store, not -server")
 		}
-		return runAdmin(c)
+		return runAdmin(c, out)
 	}
 	if c.watch {
 		if c.server == "" {
 			return fmt.Errorf("-watch needs -server")
 		}
-		return runWatch(c)
+		return runWatch(c, out)
 	}
 	if c.metrics {
 		if c.server == "" {
 			return fmt.Errorf("-metrics needs -server")
 		}
-		return pipeGET(c, strings.TrimRight(c.server, "/")+"/metrics")
+		return pipeGET(c, strings.TrimRight(c.server, "/")+"/metrics", out)
 	}
-	if c.server != "" {
-		if servers := splitServers(c.server); len(servers) > 1 {
-			return runFederated(c, servers)
-		}
-		return runServer(c)
-	}
-	return runDirect(c)
+	return runQuery(c, out)
 }
 
 // splitServers splits the comma-separated -server list.
@@ -211,9 +216,9 @@ func splitServers(s string) []string {
 // ---------------------------------------------------------------------
 // Admin verbs: tombstone a prefix's history, force a compaction pass.
 
-func runAdmin(c *config) error {
+func runAdmin(c *config, out io.Writer) error {
 	if c.deletePrefix != "" || c.compact != "" {
-		if err := runWriteAdmin(c); err != nil {
+		if err := runWriteAdmin(c, out); err != nil {
 			return err
 		}
 	}
@@ -225,14 +230,14 @@ func runAdmin(c *config) error {
 		if err != nil {
 			return fmt.Errorf("-replicate-to: %w", err)
 		}
-		fmt.Printf("bhquery: replicated %s -> %s: %d files copied (%d bytes), %d unchanged, %d retired\n",
+		fmt.Fprintf(out, "bhquery: replicated %s -> %s: %d files copied (%d bytes), %d unchanged, %d retired\n",
 			c.storeDir, c.replicateTo, len(rep.Copied), rep.Bytes, rep.Skipped, len(rep.Deleted))
 	}
 	return nil
 }
 
 // runWriteAdmin handles the verbs that open the store read-write.
-func runWriteAdmin(c *config) error {
+func runWriteAdmin(c *config, out io.Writer) error {
 	st, err := bgpblackholing.OpenStore(c.storeDir)
 	if err != nil {
 		return err
@@ -261,7 +266,7 @@ func runWriteAdmin(c *config) error {
 		if !upTo.IsZero() {
 			bound = "events ending at/before " + upTo.UTC().Format(time.RFC3339)
 		}
-		fmt.Printf("bhquery: erased %d events under %s (%s); bytes leave the disk at the partition's next compaction\n", n, p, bound)
+		fmt.Fprintf(out, "bhquery: erased %d events under %s (%s); bytes leave the disk at the partition's next compaction\n", n, p, bound)
 	}
 
 	if c.compact != "" {
@@ -273,7 +278,7 @@ func runWriteAdmin(c *config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("bhquery: compacted %d -> %d segments across %d partitions: %d duplicates dropped, %d dead records erased, merged %v, skipped %v\n",
+		fmt.Fprintf(out, "bhquery: compacted %d -> %d segments across %d partitions: %d duplicates dropped, %d dead records erased, merged %v, skipped %v\n",
 			stats.SegmentsBefore, stats.SegmentsAfter, stats.Partitions,
 			stats.Dropped, stats.Erased, stats.Merged, stats.Skipped)
 	}
@@ -294,67 +299,155 @@ func parsePrefixArg(s string) (netip.Prefix, error) {
 }
 
 // ---------------------------------------------------------------------
-// Direct mode: open the store read-only.
+// Queries: every source answers through one Backend.
 
-func runDirect(c *config) error {
-	st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
+// runQuery answers events, -stats, -figure4 and -figure8. A single
+// server's own /stats, /figure4 and /figure8 documents carry more than
+// the Backend surface (the detector section, the sampled series, the
+// duration distribution), so they pass straight through; everything
+// else goes through the Backend the source resolves to.
+func runQuery(c *config, out io.Writer) error {
+	servers := splitServers(c.server)
+	if len(servers) == 1 {
+		base := servers[0]
+		switch {
+		case c.stats:
+			return pipeGET(c, base+"/stats", out)
+		case c.figure4:
+			return pipeGET(c, fmt.Sprintf("%s/figure4?every=%d", base, max(1, c.every)), out)
+		case c.figure8:
+			return pipeGET(c, fmt.Sprintf("%s/figure8?timeout=%s", base, url.QueryEscape(c.groupTO.String())), out)
+		}
+	}
+	be, err := openBackend(c, servers)
 	if err != nil {
 		return err
 	}
-	defer st.Close()
+	defer be.Close()
+	ctx := context.Background()
 
-	if c.stats {
-		return printJSON(os.Stdout, st.Stats())
-	}
-	if c.figure4 {
-		s := st.Stats()
-		if s.Events == 0 {
-			fmt.Println("(empty store)")
+	switch {
+	case c.stats:
+		stats, err := be.Stats(ctx)
+		if err != nil {
+			return err
+		}
+		return printJSON(out, stats)
+	case c.figure4:
+		stats, err := be.Stats(ctx)
+		if err != nil {
+			return err
+		}
+		if stats.Events == 0 {
+			fmt.Fprintln(out, "(empty store)")
 			return nil
 		}
-		start := s.MinStart.UTC().Truncate(24 * time.Hour)
-		days := int(s.MaxEnd.Sub(start).Hours()/24) + 1
-		series := st.Figure4(start, days)
-		fmt.Print(bgpblackholing.FormatFigure4(series, max(1, c.every)))
+		start := stats.MinStart.UTC().Truncate(24 * time.Hour)
+		days := int(stats.MaxEnd.Sub(start).Hours()/24) + 1
+		res, err := be.Figure4(ctx, start, days)
+		if err != nil {
+			return err
+		}
+		warnShardsFailed(res.ShardsFailed)
+		fmt.Fprint(out, bgpblackholing.FormatFigure4(res.Series, max(1, c.every)))
 		return nil
-	}
-	if c.figure8 {
-		ungrouped, grouped := st.Figure8(c.groupTO)
-		fmt.Printf("figure8: %d events group into %d periods at timeout %v\n",
+	case c.figure8:
+		sb, ok := be.(*bgpblackholing.StoreBackend)
+		if !ok {
+			return fmt.Errorf("-figure8 needs -store or a single -server; durations cannot merge from counted answers")
+		}
+		ungrouped, grouped := sb.Store().Figure8(c.groupTO)
+		fmt.Fprintf(out, "figure8: %d events group into %d periods at timeout %v\n",
 			len(ungrouped), len(grouped), c.groupTO)
 		return nil
-	}
-
-	// -enrich needs the world's registry and dictionary; rebuild them
-	// deterministically the way bhserve does at startup.
-	if c.enrich {
-		p, err := bgpblackholing.NewPipeline(bgpblackholing.Options{
-			Seed: c.seed, TopoScale: c.scale, CollectorScale: c.scale, EventScale: c.scale, Days: 850,
-		})
-		if err != nil {
-			return fmt.Errorf("-enrich: building the world: %w", err)
-		}
-		st.SetAnnotator(p.Annotator())
 	}
 
 	q, err := buildQuery(c)
 	if err != nil {
 		return err
 	}
-	res := st.Query(q)
-	records := make([]*bgpblackholing.EventRecord, len(res.Events))
-	for i, ev := range res.Events {
-		var r bgpblackholing.EventRecord
-		if res.Annotations != nil {
-			r = bgpblackholing.NewEventRecordEnriched(ev, res.Annotations[i])
-		} else {
-			r = bgpblackholing.NewEventRecord(ev)
+	if c.format == "ndjson" {
+		// Lines pass through as the source serialized them, so every
+		// source prints the same bytes.
+		stream, err := be.RecordLines(ctx, q)
+		if err != nil {
+			return err
 		}
-		records[i] = &r
+		defer stream.Close()
+		warnShardsFailed(stream.ShardsFailed)
+		w := bufio.NewWriter(out)
+		for {
+			rl, err := stream.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				w.Flush()
+				return err
+			}
+			w.Write(rl.Line)
+			w.WriteByte('\n')
+		}
+		return w.Flush()
 	}
+	rs, err := be.Records(ctx, q)
+	if err != nil {
+		return err
+	}
+	warnShardsFailed(rs.ShardsFailed)
 	fmt.Fprintf(os.Stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %s\n",
-		res.Total, len(records), res.Scanned, res.Elapsed)
-	return render(os.Stdout, c.format, c.enrich, records)
+		rs.Total, len(rs.Records), rs.Scanned, rs.Elapsed)
+	return render(out, c.format, c.enrich, rs.Records)
+}
+
+// openBackend resolves the source: -store opens a read-only
+// StoreBackend, one -server URL a RemoteBackend, and a server list a
+// FederatedStore over one RemoteBackend per URL — per-server answers
+// interleave in global event order, totals sum, and a down server
+// degrades the answer (with a warning) instead of failing it.
+func openBackend(c *config, servers []string) (bgpblackholing.Backend, error) {
+	if c.storeDir != "" {
+		st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
+		if err != nil {
+			return nil, err
+		}
+		var p *bgpblackholing.Pipeline
+		if c.enrich {
+			// -enrich needs the world's registry and dictionary; rebuild
+			// them deterministically the way bhserve does at startup.
+			p, err = bgpblackholing.NewPipeline(bgpblackholing.Options{
+				Seed: c.seed, TopoScale: c.scale, CollectorScale: c.scale, EventScale: c.scale, Days: 850,
+			})
+			if err != nil {
+				st.Close()
+				return nil, fmt.Errorf("-enrich: building the world: %w", err)
+			}
+		}
+		return bgpblackholing.NewStoreBackend(st, p), nil
+	}
+	if len(servers) == 0 {
+		return nil, fmt.Errorf("-server: no URL in %q", c.server)
+	}
+	backends := make([]bgpblackholing.Backend, len(servers))
+	for i, base := range servers {
+		b, err := bgpblackholing.NewRemoteBackend([]string{base}, bgpblackholing.RemoteOptions{
+			AuthToken: c.authToken,
+		})
+		if err != nil {
+			return nil, err
+		}
+		backends[i] = b
+	}
+	if len(backends) == 1 {
+		return backends[0], nil
+	}
+	return bgpblackholing.NewFederatedStore(backends...), nil
+}
+
+func warnShardsFailed(failed int) {
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "bhquery: warning: %d server(s) failed to answer; results are partial\n", failed)
+	}
 }
 
 func buildQuery(c *config) (bgpblackholing.Query, error) {
@@ -399,168 +492,8 @@ func buildQuery(c *config) (bgpblackholing.Query, error) {
 }
 
 // ---------------------------------------------------------------------
-// Server mode: talk to bhserve's HTTP API.
-
-func runServer(c *config) error {
-	base := strings.TrimSuffix(c.server, "/")
-	if c.stats {
-		return pipeGET(c, base+"/stats")
-	}
-	if c.figure4 {
-		return pipeGET(c, fmt.Sprintf("%s/figure4?every=%d", base, max(1, c.every)))
-	}
-	if c.figure8 {
-		return pipeGET(c, fmt.Sprintf("%s/figure8?timeout=%s", base, url.QueryEscape(c.groupTO.String())))
-	}
-
-	params := url.Values{}
-	set := func(k, v string) {
-		if v != "" {
-			params.Set(k, v)
-		}
-	}
-	set("from", c.from)
-	set("to", c.to)
-	set("prefix", c.prefix)
-	if c.prefix != "" {
-		set("mode", c.mode)
-	}
-	if c.origin != 0 {
-		set("origin", fmt.Sprint(c.origin))
-	}
-	set("provider", c.provider)
-	set("community", c.community)
-	if c.minDur > 0 {
-		set("min_duration", c.minDur.String())
-	}
-	if c.maxDur > 0 {
-		set("max_duration", c.maxDur.String())
-	}
-	if c.limit > 0 {
-		set("limit", fmt.Sprint(c.limit))
-	}
-	if c.enrich {
-		set("enrich", "1")
-	}
-	if c.format == "ndjson" {
-		set("format", "ndjson")
-		return pipeGET(c, base+"/events?"+params.Encode())
-	}
-
-	resp, err := serverGET(c, base+"/events?"+params.Encode(), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var payload struct {
-		Total     int                           `json:"total"`
-		Returned  int                           `json:"returned"`
-		Scanned   int                           `json:"scanned"`
-		ElapsedUS int64                         `json:"elapsed_us"`
-		Events    []*bgpblackholing.EventRecord `json:"events"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %dµs server-side\n",
-		payload.Total, payload.Returned, payload.Scanned, payload.ElapsedUS)
-	return render(os.Stdout, c.format, c.enrich, payload.Events)
-}
-
-// ---------------------------------------------------------------------
-// Federated mode: several servers behind -server, merged client-side.
-
-// runFederated answers from a comma-separated server list: one
-// RemoteBackend per base URL, federated through the same merge core
-// bhroute serves — per-server answers interleave in global event
-// order, totals sum, and a down server degrades the answer (with a
-// warning) instead of failing it.
-func runFederated(c *config, servers []string) error {
-	ctx := context.Background()
-	backends := make([]bgpblackholing.Backend, 0, len(servers))
-	for _, base := range servers {
-		b, err := bgpblackholing.NewRemoteBackend([]string{base}, bgpblackholing.RemoteOptions{
-			AuthToken: c.authToken,
-		})
-		if err != nil {
-			return err
-		}
-		backends = append(backends, b)
-	}
-	fed := bgpblackholing.NewFederatedStore(backends...)
-	defer fed.Close()
-
-	if c.stats {
-		stats, err := fed.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		return printJSON(os.Stdout, stats)
-	}
-	if c.figure4 {
-		stats, err := fed.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		if stats.Events == 0 {
-			fmt.Println("(no events)")
-			return nil
-		}
-		start := stats.MinStart.UTC().Truncate(24 * time.Hour)
-		days := int(stats.MaxEnd.Sub(start).Hours()/24) + 1
-		res, err := fed.Figure4(ctx, start, days)
-		if err != nil {
-			return err
-		}
-		warnShardsFailed(res.ShardsFailed)
-		fmt.Print(bgpblackholing.FormatFigure4(res.Series, max(1, c.every)))
-		return nil
-	}
-	if c.figure8 {
-		return fmt.Errorf("-figure8 needs a single -server; durations cannot merge from counted answers")
-	}
-
-	q, err := buildQuery(c)
-	if err != nil {
-		return err
-	}
-	if c.format == "ndjson" {
-		stream, err := fed.RecordLines(ctx, q)
-		if err != nil {
-			return err
-		}
-		defer stream.Close()
-		warnShardsFailed(stream.ShardsFailed)
-		w := bufio.NewWriter(os.Stdout)
-		for {
-			rl, err := stream.Next()
-			if err != nil {
-				break
-			}
-			w.Write(rl.Line)
-			w.WriteByte('\n')
-		}
-		return w.Flush()
-	}
-	rs, err := fed.Records(ctx, q)
-	if err != nil {
-		return err
-	}
-	warnShardsFailed(rs.ShardsFailed)
-	fmt.Fprintf(os.Stderr, "bhquery: %d matches (%d returned), %d candidates scanned across %d servers, %s\n",
-		rs.Total, len(rs.Records), rs.Scanned, len(servers), rs.Elapsed)
-	return render(os.Stdout, c.format, c.enrich, rs.Records)
-}
-
-func warnShardsFailed(failed int) {
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "bhquery: warning: %d server(s) failed to answer; results are partial\n", failed)
-	}
-}
+// Server documents the Backend surface does not carry: -stats,
+// -figure4 and -figure8 against one server, -metrics and -watch.
 
 // serverGET issues a GET with the configured bearer token and any
 // extra headers; non-2xx responses become errors with the server's
@@ -589,13 +522,13 @@ func serverGET(c *config, u string, headers map[string]string) (*http.Response, 
 }
 
 // pipeGET streams a response body straight through.
-func pipeGET(c *config, u string) error {
+func pipeGET(c *config, u string, out io.Writer) error {
 	resp, err := serverGET(c, u, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	_, err = io.Copy(os.Stdout, resp.Body)
+	_, err = io.Copy(out, resp.Body)
 	return err
 }
 

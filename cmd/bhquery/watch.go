@@ -21,7 +21,7 @@ import (
 // -format ndjson for the raw records). On a dropped connection it
 // reconnects with the last seen alert id in Last-Event-ID, so nothing
 // within the server's replay ring is missed. Ctrl-C exits.
-func runWatch(c *config) error {
+func runWatch(c *config, out io.Writer) error {
 	switch c.format {
 	case "table", "ndjson":
 	default:
@@ -44,7 +44,7 @@ func runWatch(c *config) error {
 	printedHeader := false
 	backoff := time.Second
 	for {
-		err := watchOnce(c, u, &lastID, c.format, &printedHeader, stop)
+		err := watchOnce(c, u, &lastID, c.format, &printedHeader, stop, out)
 		if err == nil {
 			return nil // interrupted
 		}
@@ -65,7 +65,7 @@ func runWatch(c *config) error {
 
 // watchOnce runs one SSE connection until it drops (error) or the user
 // interrupts (nil).
-func watchOnce(c *config, u string, lastID *uint64, format string, printedHeader *bool, stop <-chan os.Signal) error {
+func watchOnce(c *config, u string, lastID *uint64, format string, printedHeader *bool, stop <-chan os.Signal, out io.Writer) error {
 	headers := map[string]string{"Accept": "text/event-stream"}
 	if *lastID > 0 {
 		headers["Last-Event-ID"] = strconv.FormatUint(*lastID, 10)
@@ -99,7 +99,7 @@ func watchOnce(c *config, u string, lastID *uint64, format string, printedHeader
 		switch {
 		case line == "":
 			if data.Len() > 0 {
-				if err := printAlert(format, printedHeader, data.String()); err == nil && id > 0 {
+				if err := printAlert(out, format, printedHeader, data.String()); err == nil && id > 0 {
 					*lastID = id
 				}
 			}
@@ -125,9 +125,9 @@ func watchOnce(c *config, u string, lastID *uint64, format string, printedHeader
 }
 
 // printAlert renders one alert record.
-func printAlert(format string, printedHeader *bool, data string) error {
+func printAlert(out io.Writer, format string, printedHeader *bool, data string) error {
 	if format == "ndjson" {
-		fmt.Println(data)
+		fmt.Fprintln(out, data)
 		return nil
 	}
 	var rec bgpblackholing.AlertRecord
@@ -136,7 +136,7 @@ func printAlert(format string, printedHeader *bool, data string) error {
 		return err
 	}
 	if !*printedHeader {
-		fmt.Printf("%-6s %-16s %-20s %-20s %-12s %-28s %-6s %s\n",
+		fmt.Fprintf(out, "%-6s %-16s %-20s %-20s %-12s %-28s %-6s %s\n",
 			"ID", "RULE", "PREFIX", "START", "DURATION", "PROVIDERS", "USERS", "LEGITIMACY")
 		*printedHeader = true
 	}
@@ -150,7 +150,7 @@ func printAlert(format string, printedHeader *bool, data string) error {
 	if legit == "" {
 		legit = "-"
 	}
-	fmt.Printf("%-6d %-16s %-20s %-20s %-12s %-28s %-6d %s\n",
+	fmt.Fprintf(out, "%-6d %-16s %-20s %-20s %-12s %-28s %-6d %s\n",
 		rec.ID, rec.Rule, ev.Prefix, ev.Start.Format("2006-01-02T15:04:05Z"), dur,
 		provs, len(ev.Users), legit)
 	return nil

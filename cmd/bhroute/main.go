@@ -25,10 +25,14 @@
 //	        -shard edge-c=http://127.0.0.1:8083
 //	bhquery -server http://127.0.0.1:8090 -origin 65001
 //
-// Routes: /events (JSON + NDJSON), /legitimacy, /figure4 (incl. the
-// shape=sets mergeable form, so routers can front other routers),
-// /stats (aggregate + per-shard block), /healthz (per-shard checks),
-// /metrics. See OPERATIONS.md for the runbook.
+// The router serves bhserve's own route table over the federation:
+// /events (JSON + NDJSON), /legitimacy, /figure4 (incl. the shape=sets
+// mergeable form, so routers can front other routers), /stats
+// (aggregate + per-shard block), /healthz (per-shard checks) and
+// /metrics take the same parameters and answer in the same shapes. The
+// routes that need a local store or an alert hub (/figure8, /table3,
+// /table4, /watch, /rules) return 404 here; ask a shard. See
+// OPERATIONS.md for the runbook.
 package main
 
 import (

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -609,7 +610,7 @@ func (p PrefixShardPlan) String() string {
 //	time:<width>:<n>    e.g. time:168h:3  (weekly windows over 3 shards)
 //	prefix:<bit>:<n>    e.g. prefix:8:4   (top octet over 4 shards)
 func ParseShardPlan(s string) (ShardPlan, error) {
-	parts := splitN(s, ':', 3)
+	parts := strings.SplitN(s, ":", 3)
 	if len(parts) != 3 {
 		return nil, fmt.Errorf("bad shard plan %q (want time:<width>:<n> or prefix:<bit>:<n>)", s)
 	}
@@ -632,28 +633,6 @@ func ParseShardPlan(s string) (ShardPlan, error) {
 		return PrefixShardPlan{Bit: bit, N: n}, nil
 	}
 	return nil, fmt.Errorf("bad shard plan kind %q (want time or prefix)", parts[0])
-}
-
-func splitN(s string, sep byte, n int) []string {
-	var out []string
-	for len(out) < n-1 {
-		i := indexByte(s, sep)
-		if i < 0 {
-			break
-		}
-		out = append(out, s[:i])
-		s = s[i+1:]
-	}
-	return append(out, s)
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 func parsePositiveInt(s string) (int, error) {

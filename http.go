@@ -121,14 +121,20 @@ type HandlerOptions struct {
 // NewStoreHandlerWith is NewStoreHandler plus live-exposure hardening:
 // optional bearer-token auth and a per-client token-bucket rate limit.
 func NewStoreHandlerWith(st *Store, p *Pipeline, opts HandlerOptions) http.Handler {
-	h := &storeHandler{st: st, p: p, be: NewStoreBackend(st, p),
+	return newHandler(NewStoreBackend(st, p), st, p, opts)
+}
+
+// newHandler builds the one route table both front ends serve. The
+// Backend routes (/healthz, /stats, /events, /legitimacy, /figure4)
+// answer from be, whether it is a local store or a federation; the
+// routes that need the local store (/figure8, /table3, /table4) exist
+// only when st is non-nil, the alerting routes only with a hub.
+func newHandler(be Backend, st *Store, p *Pipeline, opts HandlerOptions) http.Handler {
+	h := &storeHandler{st: st, p: p, be: be,
 		det: opts.Detector, hub: opts.Hub,
 		redials: opts.RedialSources, heartbeat: opts.WatchHeartbeat}
 	if h.heartbeat <= 0 {
 		h.heartbeat = 15 * time.Second
-	}
-	if p != nil {
-		h.ann = p.Annotator()
 	}
 	mux := http.NewServeMux()
 	// handle wraps each route in the telemetry middleware at
@@ -146,9 +152,11 @@ func NewStoreHandlerWith(st *Store, p *Pipeline, opts HandlerOptions) http.Handl
 	handle("GET /events", http.HandlerFunc(h.events))
 	handle("GET /legitimacy", http.HandlerFunc(h.legitimacy))
 	handle("GET /figure4", http.HandlerFunc(h.figure4))
-	handle("GET /figure8", http.HandlerFunc(h.figure8))
-	handle("GET /table3", http.HandlerFunc(h.table3))
-	handle("GET /table4", http.HandlerFunc(h.table4))
+	if st != nil {
+		handle("GET /figure8", http.HandlerFunc(h.figure8))
+		handle("GET /table3", http.HandlerFunc(h.table3))
+		handle("GET /table4", http.HandlerFunc(h.table4))
+	}
 	if opts.Hub != nil {
 		handle("GET /watch", http.HandlerFunc(h.watch))
 		handle("GET /rules", http.HandlerFunc(h.rulesList))
@@ -270,28 +278,16 @@ func rateLimitMiddleware(next http.Handler, rate float64, burst int) http.Handle
 	})
 }
 
+// storeHandler serves the route table newHandler builds.
 type storeHandler struct {
-	st *Store
-	p  *Pipeline
-	be Backend // the store behind the Backend query surface
+	st *Store    // nil on a router: no /figure8, /table3, /table4
+	p  *Pipeline // nil without a world: the tables answer 503
+	be Backend   // answers the query surface: the store, or a federation
 
 	det       *Detector       // optional: fan-out counters on /stats
 	hub       *AlertHub       // optional: /watch, /rules, hub counters
 	redials   []*RedialSource // optional: session counters on /stats, readiness on /healthz
 	heartbeat time.Duration
-	// ann is the pipeline's annotator when the handler was built with a
-	// world; otherwise annotator() falls back to the store's — resolved
-	// per request, so Store.SetAnnotator works before or after
-	// NewStoreHandler.
-	ann *Annotator
-}
-
-// annotator resolves the enrichment annotator for a request, or nil.
-func (h *storeHandler) annotator() *Annotator {
-	if h.ann != nil {
-		return h.ann
-	}
-	return h.st.Annotator()
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -309,38 +305,29 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // healthz is liveness + readiness in one probe. Liveness is implicit
 // (the handler answered); readiness degrades — and the status code
-// becomes 503 — when the write path is in a known-bad state: a wounded
-// active segment awaiting failover, a parked async group-commit fsync
-// error no caller has seen yet, or a redial source whose retry budget
-// is exhausted. The historical keys ("status", "events") survive so
-// existing probes keep parsing.
+// becomes 503 — when the Backend reports a known-bad state (for a
+// store: a wounded active segment, a parked async fsync error, a
+// failed cold hydration; for a federation: any shard not ok) or a
+// redial source has exhausted its retry budget. The historical keys
+// ("status", "events") survive so existing probes keep parsing.
 func (h *storeHandler) healthz(w http.ResponseWriter, r *http.Request) {
-	checks := map[string]string{}
-	sh := h.st.s.Health()
-	if sh.WoundedSegment {
-		checks["store_segment"] = "wounded active segment pending failover"
-	}
-	if sh.AsyncSyncError != "" {
-		checks["store_fsync"] = "parked async fsync error: " + sh.AsyncSyncError
-	}
-	if sh.HydrationError != "" {
-		checks["store_hydration"] = "cold segment hydration failed; queries may see partial data: " + sh.HydrationError
-	}
+	hz := h.be.Healthz(r.Context())
 	for _, src := range h.redials {
 		if src.Stats().GaveUp != 0 {
-			checks["redial:"+src.Addr()] = "retry budget exhausted; feed ended"
+			if hz.Checks == nil {
+				hz.Checks = map[string]string{}
+			}
+			hz.Checks["redial:"+src.Addr()] = "retry budget exhausted; feed ended"
 		}
 	}
-	body := map[string]any{"status": "ok", "events": h.st.Len()}
-	if len(checks) > 0 {
-		body["status"] = "degraded"
-		body["checks"] = checks
+	if hz.Status == "ok" && len(hz.Checks) > 0 {
+		hz.Status = "degraded"
+	}
+	body := map[string]any{"status": hz.Status, "events": hz.Events}
+	if hz.Status != "ok" {
+		body["checks"] = hz.Checks
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body)
-		return
 	}
 	writeJSON(w, body)
 }
@@ -365,8 +352,13 @@ type detectorStats struct {
 }
 
 func (h *storeHandler) stats(w http.ResponseWriter, r *http.Request) {
+	stats, err := h.be.Stats(r.Context())
+	if err != nil {
+		backendError(w, err)
+		return
+	}
 	if h.det == nil && h.hub == nil && len(h.redials) == 0 {
-		writeJSON(w, h.st.Stats())
+		writeJSON(w, stats)
 		return
 	}
 	ds := detectorStats{}
@@ -387,9 +379,9 @@ func (h *storeHandler) stats(w http.ResponseWriter, r *http.Request) {
 	// Embedding flattens the store fields so clients decoding into
 	// StoreStats keep working.
 	writeJSON(w, struct {
-		StoreStats
+		*BackendStats
 		Detector detectorStats `json:"detector"`
-	}{StoreStats: h.st.Stats(), Detector: ds})
+	}{BackendStats: stats, Detector: ds})
 }
 
 // parseQuery builds a Query from request parameters.
@@ -500,11 +492,6 @@ func (h *storeHandler) events(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ann := h.annotator()
-	if q.Enrich && ann == nil {
-		httpError(w, http.StatusServiceUnavailable, "enrichment needs the pipeline's registry and dictionary; run the server with a world")
-		return
-	}
 	ndjson := r.URL.Query().Get("format") == "ndjson" ||
 		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 	if ndjson {
@@ -514,7 +501,19 @@ func (h *storeHandler) events(w http.ResponseWriter, r *http.Request) {
 	if q.Limit <= 0 {
 		q.Limit = defaultJSONLimit
 	}
-	serveEventsJSON(r.Context(), w, h.be, q)
+	rs, err := h.be.Records(r.Context(), q)
+	if err != nil {
+		backendError(w, err)
+		return
+	}
+	shardsFailedHeader(w, rs.ShardsFailed)
+	writeJSON(w, map[string]any{
+		"total":      rs.Total,
+		"returned":   len(rs.Records),
+		"scanned":    rs.Scanned,
+		"elapsed_us": rs.Elapsed.Microseconds(),
+		"events":     rs.Records,
+	})
 }
 
 // backendError maps a Backend failure onto an HTTP response: the
@@ -536,25 +535,6 @@ func shardsFailedHeader(w http.ResponseWriter, failed int) {
 	if failed > 0 {
 		w.Header().Set("X-Shards-Failed", strconv.Itoa(failed))
 	}
-}
-
-// serveEventsJSON answers the JSON /events shape from any Backend.
-// The envelope (and its byte layout) is unchanged from the pre-Backend
-// handler.
-func serveEventsJSON(ctx context.Context, w http.ResponseWriter, be Backend, q Query) {
-	rs, err := be.Records(ctx, q)
-	if err != nil {
-		backendError(w, err)
-		return
-	}
-	shardsFailedHeader(w, rs.ShardsFailed)
-	writeJSON(w, map[string]any{
-		"total":      rs.Total,
-		"returned":   len(rs.Records),
-		"scanned":    rs.Scanned,
-		"elapsed_us": rs.Elapsed.Microseconds(),
-		"events":     rs.Records,
-	})
 }
 
 // streamRecordLines writes one event record per line, flushing
@@ -600,26 +580,16 @@ var nl = []byte{'\n'}
 
 // legitimacy aggregates the legitimacy view over every event matching
 // the filter params: verdict, folded RPKI-state and community-doc
-// histograms. The store streams through the annotator — no result set
-// is materialized.
+// histograms. A store streams through the annotator — no result set
+// is materialized — and answers 503 without one.
 func (h *storeHandler) legitimacy(w http.ResponseWriter, r *http.Request) {
-	ann := h.annotator()
-	if ann == nil {
-		httpError(w, http.StatusServiceUnavailable, "legitimacy needs the pipeline's registry and dictionary; run the server with a world")
-		return
-	}
 	q, err := parseQuery(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	serveLegitimacy(r.Context(), w, h.be, q)
-}
-
-// serveLegitimacy answers /legitimacy from any Backend (same JSON keys
-// as the historical inline aggregation).
-func serveLegitimacy(ctx context.Context, w http.ResponseWriter, be Backend, q Query) {
-	sum, err := be.LegitimacySummary(ctx, q)
+	ctx := r.Context()
+	sum, err := h.be.LegitimacySummary(ctx, q)
 	if err != nil {
 		if ctx.Err() != nil {
 			return // client went away; nothing to write
@@ -631,19 +601,15 @@ func serveLegitimacy(ctx context.Context, w http.ResponseWriter, be Backend, q Q
 	writeJSON(w, sum)
 }
 
+// figure4 answers the daily series. shape=sets serves the mergeable
+// per-day entity sets instead of the counted series — the form one
+// federation tier ships to the next so distinct-entity counts stay
+// exact across shards.
 func (h *storeHandler) figure4(w http.ResponseWriter, r *http.Request) {
-	serveFigure4(w, r, h.be)
-}
-
-// serveFigure4 answers /figure4 from any Backend. shape=sets serves
-// the mergeable per-day entity sets instead of the counted series —
-// the form one federation tier ships to the next so distinct-entity
-// counts stay exact across shards.
-func serveFigure4(w http.ResponseWriter, r *http.Request, be Backend) {
 	ctx := r.Context()
 	get := r.URL.Query().Get
 	sets := get("shape") == "sets"
-	stats, err := be.Stats(ctx)
+	stats, err := h.be.Stats(ctx)
 	if err != nil {
 		backendError(w, err)
 		return
@@ -691,7 +657,7 @@ func serveFigure4(w http.ResponseWriter, r *http.Request, be Backend) {
 		return
 	}
 	if sets {
-		fs, err := be.Figure4Sets(ctx, start, days)
+		fs, err := h.be.Figure4Sets(ctx, start, days)
 		if err != nil {
 			backendError(w, err)
 			return
@@ -699,7 +665,7 @@ func serveFigure4(w http.ResponseWriter, r *http.Request, be Backend) {
 		writeJSON(w, fs)
 		return
 	}
-	res, err := be.Figure4(ctx, start, days)
+	res, err := h.be.Figure4(ctx, start, days)
 	if err != nil {
 		backendError(w, err)
 		return

@@ -254,10 +254,10 @@ func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Val
 func queryParams(q Query) url.Values {
 	params := url.Values{}
 	if !q.From.IsZero() {
-		params.Set("from", q.From.Format(time.RFC3339))
+		params.Set("from", q.From.Format(time.RFC3339Nano))
 	}
 	if !q.To.IsZero() {
-		params.Set("to", q.To.Format(time.RFC3339))
+		params.Set("to", q.To.Format(time.RFC3339Nano))
 	}
 	if q.Prefix.IsValid() {
 		params.Set("prefix", q.Prefix.String())

@@ -1,10 +1,6 @@
 package bgpblackholing
 
-import (
-	"encoding/json"
-	"net/http"
-	"strings"
-)
+import "net/http"
 
 // RouterOptions configures NewRouterHandler, mirroring the subset of
 // HandlerOptions that makes sense for a stateless query router.
@@ -22,108 +18,45 @@ type RouterOptions struct {
 	Telemetry *Telemetry
 }
 
-// NewRouterHandler serves a federated query tier over HTTP: the same
-// read surface as NewStoreHandler, answered by fanning out to the
-// federation's shard backends and merging. Routes:
+// NewRouterHandler serves a federated query tier over HTTP. It is the
+// store handler's route table served over fed instead of a local
+// store: /healthz, /stats, /events, /legitimacy and /figure4 take the
+// same parameters and answer in the same shapes as NewStoreHandler's,
+// by fanning out to the federation's shard backends and merging:
 //
-//	/healthz       federation health; every shard is probed and a
-//	               down or degraded shard surfaces as a
-//	               "shard:<name>..." check (503), with the historical
-//	               {"status","events"} keys intact
-//	/stats         aggregated store shape (flat StoreStats keys, so
-//	               existing decoders keep working) plus a
-//	               version-tagged "shards" block with per-shard
+//	/healthz       every shard is probed; a down or degraded shard
+//	               surfaces as a "shard:<name>..." check (503)
+//	/stats         aggregated store shape (flat StoreStats keys) plus
+//	               a version-tagged "shards" block with per-shard
 //	               status and lifetime request/failure/hedge counters
-//	/events        federated query; same parameters as the store
-//	               handler, JSON or NDJSON, with limits pushed down
-//	               per shard and re-applied after the global merge
-//	/legitimacy    per-shard summaries, histograms summed
-//	/figure4       per-shard per-day entity sets, unioned then
-//	               counted (distinct counts stay exact across
-//	               shards); shape=sets serves the mergeable form so
-//	               routers can themselves be federated
-//	/metrics       Prometheus exposition (with Telemetry)
+//	/events        limits pushed down per shard and re-applied after
+//	               the global merge
+//	/legitimacy    per-shard histograms summed
+//	/figure4       per-shard per-day entity sets, unioned then counted
+//	               (shape=sets serves the mergeable form, so routers
+//	               can themselves be federated)
+//	/metrics       Prometheus exposition, including the per-shard
+//	               federation counters (with Telemetry)
 //
 // Partial results: when some (not all) shards fail, data routes answer
 // 200 with the X-Shards-Failed header counting the missing shards, and
 // /stats marks the shard "down" in the shards block. Only when every
 // shard fails does a route answer 502.
 //
-// The aggregation endpoints that need the pipeline's world (/figure8,
-// /table3, /table4) and the alerting surface are deliberately absent:
-// they belong to the shard servers, not the router.
+// The routes that need a local store and the pipeline's world
+// (/figure8, /table3, /table4) and the alerting surface (/watch,
+// /rules) are absent (404): they belong to the shard servers.
 func NewRouterHandler(fed *FederatedStore, opts RouterOptions) http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.Handler) {
-		if opts.Telemetry != nil {
-			fn = opts.Telemetry.instrument(pattern, fn)
-		}
-		mux.Handle(pattern, fn)
-	}
-	handle("GET /healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := fed.Healthz(r.Context())
-		body := map[string]any{"status": h.Status, "events": h.Events}
-		if h.Status != "ok" {
-			body["checks"] = h.Checks
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(body)
-			return
-		}
-		writeJSON(w, body)
-	}))
-	handle("GET /stats", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		stats, err := fed.Stats(r.Context())
-		if err != nil {
-			backendError(w, err)
-			return
-		}
-		writeJSON(w, stats)
-	}))
-	handle("GET /events", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q, err := parseQuery(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if wantsNDJSON(r) {
-			streamRecordLines(r.Context(), w, fed, q)
-			return
-		}
-		if q.Limit <= 0 {
-			q.Limit = defaultJSONLimit
-		}
-		serveEventsJSON(r.Context(), w, fed, q)
-	}))
-	handle("GET /legitimacy", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q, err := parseQuery(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		serveLegitimacy(r.Context(), w, fed, q)
-	}))
-	handle("GET /figure4", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveFigure4(w, r, fed)
-	}))
+	h := newHandler(fed, nil, nil, HandlerOptions{
+		AuthToken: opts.AuthToken,
+		RateLimit: opts.RateLimit,
+		RateBurst: opts.RateBurst,
+		Telemetry: opts.Telemetry,
+	})
 	if opts.Telemetry != nil {
 		opts.Telemetry.ObserveFederation(fed)
-		handle("GET /metrics", opts.Telemetry.MetricsHandler())
 	}
-	var handler http.Handler = mux
-	if opts.RateLimit > 0 {
-		burst := opts.RateBurst
-		if burst <= 0 {
-			burst = max(10, int(opts.RateLimit+0.999))
-		}
-		handler = rateLimitMiddleware(handler, opts.RateLimit, burst)
-	}
-	if opts.AuthToken != "" {
-		handler = authMiddleware(handler, opts.AuthToken)
-	}
-	return handler
+	return h
 }
 
 // ObserveFederation registers per-shard federation gauges and
@@ -142,12 +75,4 @@ func (t *Telemetry) ObserveFederation(fed *FederatedStore) {
 	r.GaugeFunc("bh_federation_shards", "Number of shards behind this router.", func() float64 {
 		return float64(len(fed.backends))
 	})
-}
-
-// wantsNDJSON reports whether the request asked for the streaming
-// NDJSON shape, by parameter or Accept header — the same test the
-// store handler applies.
-func wantsNDJSON(r *http.Request) bool {
-	return r.URL.Query().Get("format") == "ndjson" ||
-		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
