@@ -327,16 +327,20 @@ func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int)
 }
 
 // Figure4Sets implements Backend, letting a federation itself act as
-// one shard of a larger federation.
+// one shard of a larger federation. ShardsFailed carries its failures
+// up, so the outer tier does not count a partial union as complete.
 func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
-	merged, _, err := f.figure4Union(ctx, start, days)
+	merged, failed, err := f.figure4Union(ctx, start, days)
 	if err != nil {
 		return nil, err
 	}
 	sets := merged.Sets()
+	sets.ShardsFailed = failed
 	return &sets, nil
 }
 
+// figure4Union merges every shard's sets. The failure count includes
+// the failures nested federations report in their own sets.
 func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Partial, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
 	errs := f.fanOut(func(i int, b Backend) error {
@@ -353,6 +357,7 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 		if s == nil {
 			continue
 		}
+		failed += s.ShardsFailed
 		if err := merged.MergeSets(*s); err != nil {
 			return nil, failed, err
 		}

@@ -662,6 +662,7 @@ func (h *storeHandler) figure4(w http.ResponseWriter, r *http.Request) {
 			backendError(w, err)
 			return
 		}
+		shardsFailedHeader(w, fs.ShardsFailed)
 		writeJSON(w, fs)
 		return
 	}

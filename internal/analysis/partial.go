@@ -133,6 +133,10 @@ type Figure4Sets struct {
 	Providers [][]string `json:"providers"`
 	Users     [][]uint32 `json:"users"`
 	Prefixes  [][]string `json:"prefixes"`
+	// ShardsFailed counts shards missing from a federated union — the
+	// sets cover the survivors only. Omitted when zero, so complete
+	// answers keep their historical shape.
+	ShardsFailed int `json:"shards_failed,omitempty"`
 }
 
 // Sets exports the partial in wire form (sorted, deterministic).

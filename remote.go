@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // RemoteBackend speaks the existing bhserve HTTP/NDJSON wire format as
@@ -319,12 +320,186 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 }
 
 // recordLineKey is the minimal per-line decode a merge needs — the
-// full record rides through as raw bytes.
+// full record rides through as raw bytes. It defines what a line's key
+// is: decodeRecordKey must agree with json.Unmarshal into it.
 type recordLineKey struct {
 	Prefix string    `json:"prefix"`
 	Start  time.Time `json:"start"`
 	End    time.Time `json:"end"`
 	Seq    uint64    `json:"seq"`
+}
+
+// decodeRecordKey recovers a line's merge key. It validates the whole
+// line, then reads only the top-level seq, start, end and prefix values
+// and skips the rest. Any line the fast pass does not fully handle —
+// escaped or non-ASCII keys, keys matching a wanted one only
+// case-insensitively, a seq that is not a plain integer, a time or
+// prefix that is not a plain string — falls back to json.Unmarshal into
+// recordLineKey, so both accept, reject and key exactly the same lines.
+func decodeRecordKey(line []byte) (RecordKey, error) {
+	if json.Valid(line) {
+		if k, ok := scanRecordKey(line); ok {
+			return k, nil
+		}
+	}
+	var key recordLineKey
+	if err := json.Unmarshal(line, &key); err != nil {
+		return RecordKey{}, err
+	}
+	return RecordKey{
+		End:    key.End.UnixNano(),
+		Seq:    key.Seq,
+		Start:  key.Start.UnixNano(),
+		Prefix: key.Prefix,
+	}, nil
+}
+
+// scanRecordKey is decodeRecordKey's fast pass over a line json.Valid
+// accepted; ok is false when the line needs the full decoder.
+func scanRecordKey(line []byte) (k RecordKey, ok bool) {
+	var start, end time.Time
+	i := skipSpace(line, 0)
+	if line[i] != '{' {
+		return k, false
+	}
+	i = skipSpace(line, i+1)
+	for line[i] != '}' {
+		j := stringEnd(line, i) // line[i] is the key's opening quote
+		name := line[i+1 : j-1]
+		if !plainASCII(name) {
+			return k, false
+		}
+		i = skipSpace(line, skipSpace(line, j)+1) // past the colon
+		next := skipValue(line, i)
+		val := line[i:next]
+		switch string(name) {
+		case "seq":
+			seq, ok := parseSeq(val)
+			if !ok {
+				return k, false
+			}
+			k.Seq = seq
+		case "start", "end":
+			t := &start
+			if name[0] == 'e' {
+				t = &end
+			}
+			if val[0] != '"' || t.UnmarshalJSON(val) != nil {
+				return k, false
+			}
+		case "prefix":
+			if val[0] != '"' {
+				return k, false
+			}
+			s := val[1 : len(val)-1]
+			if !plainASCII(s) {
+				return k, false
+			}
+			k.Prefix = string(s)
+		default:
+			if foldsToKeyField(name) {
+				return k, false
+			}
+		}
+		i = skipSpace(line, next)
+		if line[i] == ',' {
+			i = skipSpace(line, i+1)
+		}
+	}
+	k.Start, k.End = start.UnixNano(), end.UnixNano()
+	return k, true
+}
+
+// plainASCII reports whether a JSON string body decodes to itself: no
+// escapes, no bytes json.Unmarshal would rewrite as invalid UTF-8.
+func plainASCII(s []byte) bool {
+	for _, c := range s {
+		if c == '\\' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// foldsToKeyField reports whether an ASCII key names a recordLineKey
+// field case-insensitively, as json.Unmarshal matches keys.
+func foldsToKeyField(name []byte) bool {
+	switch len(name) {
+	case 3:
+		return bytes.EqualFold(name, []byte("seq")) || bytes.EqualFold(name, []byte("end"))
+	case 5:
+		return bytes.EqualFold(name, []byte("start"))
+	case 6:
+		return bytes.EqualFold(name, []byte("prefix"))
+	}
+	return false
+}
+
+// parseSeq parses a plain decimal uint64; anything else (sign,
+// fraction, exponent, overflow, null) is left to the full decoder.
+func parseSeq(val []byte) (uint64, bool) {
+	for _, c := range val {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.ParseUint(string(val), 10, 64)
+	return n, err == nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipValue returns the index just past the JSON value starting at
+// b[i], which must be valid.
+func skipValue(b []byte, i int) int {
+	depth := 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			i = stringEnd(b, i) - 1
+			if depth == 0 {
+				return i + 1
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+			if depth == 0 {
+				return i + 1
+			}
+			if depth < 0 {
+				return i // the enclosing object's end: a bare literal ended here
+			}
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return i
+}
+
+// stringEnd returns the index just past the valid JSON string that
+// starts at b[i]: the first quote not escaped by an odd run of
+// backslashes.
+func stringEnd(b []byte, i int) int {
+	for {
+		i += 1 + bytes.IndexByte(b[i+1:], '"')
+		n := 0
+		for b[i-1-n] == '\\' {
+			n++
+		}
+		if n%2 == 0 {
+			return i + 1
+		}
+	}
 }
 
 // RecordLines implements Backend over GET /events?format=ndjson.
@@ -363,21 +538,13 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 					}
 					continue // blank keep-alive line
 				}
-				var key recordLineKey
-				if jerr := json.Unmarshal(line, &key); jerr != nil {
+				key, jerr := decodeRecordKey(line)
+				if jerr != nil {
 					return RecordLine{}, fmt.Errorf("shard %s: bad NDJSON line: %v", b.name, jerr)
 				}
 				// The line must be owned by the caller: ReadBytes
 				// allocates per line, so no copy is needed.
-				return RecordLine{
-					Key: RecordKey{
-						End:    key.End.UnixNano(),
-						Seq:    key.Seq,
-						Start:  key.Start.UnixNano(),
-						Prefix: key.Prefix,
-					},
-					Line: line,
-				}, nil
+				return RecordLine{Key: key, Line: line}, nil
 			}
 		},
 		close: func() { resp.Body.Close() },
