@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -99,8 +100,7 @@ type RecordSet struct {
 // RecordLine is one NDJSON record plus its merge key. Line holds the
 // exact serialized bytes (no trailing newline) — the federation layer
 // passes shard bytes through verbatim, so a federated NDJSON response
-// is byte-identical to a single store's. Line may be shared (a
-// StoreBackend serves memoized lines): callers must not modify it.
+// is byte-identical to a single store's.
 type RecordLine struct {
 	Key  RecordKey
 	Line []byte
@@ -260,11 +260,6 @@ type StoreBackend struct {
 	// once, not per query. Entries live as long as the backend; the
 	// map is bounded by the number of distinct events ever returned.
 	recs sync.Map // *Event -> *EventRecord
-	// lines memoizes the finished NDJSON line per stored event — its
-	// merge key and compact encoding — for RecordLines, with the same
-	// lifetime and bound as recs. The two stay separate because JSON
-	// responses are indented: compact lines cannot be spliced into them.
-	lines sync.Map // *Event -> *RecordLine
 }
 
 // NewStoreBackend wraps a store. p may be nil; enrichment then falls
@@ -306,30 +301,6 @@ func (b *StoreBackend) record(ev *Event) *EventRecord {
 	return actual.(*EventRecord)
 }
 
-// line returns the memoized NDJSON line of ev's base projection. The
-// line's bytes are shared by every stream that serves ev: read-only.
-func (b *StoreBackend) line(ev *Event) (*RecordLine, error) {
-	if l, ok := b.lines.Load(ev); ok {
-		return l.(*RecordLine), nil
-	}
-	buf, err := json.Marshal(NewEventRecord(ev))
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := b.lines.LoadOrStore(ev, &RecordLine{Key: eventKey(ev), Line: buf})
-	return actual.(*RecordLine), nil
-}
-
-// eventKey is KeyOf for an event, without building its record.
-func eventKey(ev *Event) RecordKey {
-	return RecordKey{
-		End:    ev.End.UnixNano(),
-		Seq:    ev.Seq,
-		Start:  ev.Start.UnixNano(),
-		Prefix: ev.Prefix.String(),
-	}
-}
-
 // Records implements Backend over Store.Query, annotating through the
 // shared (cached) annotator exactly as the JSON /events path always
 // has.
@@ -367,12 +338,11 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 	}, nil
 }
 
-// RecordLines implements Backend over Store.QuerySeq, serving each
-// event's memoized line, so an event is encoded once, not once per
-// scan. Enrichment is uncached — neither line nor annotation is kept
-// (an unbounded stream must not grow the shared annotation cache by
-// one entry per stored event), matching the NDJSON path's historical
-// behavior.
+// RecordLines implements Backend over Store.QuerySeq, building plain
+// lines with appendRecordLine rather than a record and json.Marshal.
+// Enrichment is uncached (an unbounded stream must not grow the shared
+// annotation cache by one entry per stored event), matching the NDJSON
+// path's historical behavior.
 func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	ann := b.annotator()
 	if q.Enrich && ann == nil {
@@ -382,6 +352,7 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 	q.Enrich = false
 	next, stop := iter.Pull(b.st.QuerySeq(q))
 	done := ctx.Done()
+	var buf []byte // appendRecordLine's scratch, reused across lines
 	return &RecordStream{
 		next: func() (RecordLine, error) {
 			select {
@@ -393,18 +364,27 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 			if !ok {
 				return RecordLine{}, io.EOF
 			}
-			if !enrich {
-				l, err := b.line(ev)
-				if err != nil {
-					return RecordLine{}, err
-				}
-				return *l, nil
+			var line []byte
+			var err error
+			if enrich {
+				line, err = json.Marshal(NewEventRecordEnriched(ev, ann.AnnotateUncached(ev)))
+			} else if buf, ok = appendRecordLine(buf[:0], ev); ok {
+				line = bytes.Clone(buf)
+			} else {
+				line, err = json.Marshal(NewEventRecord(ev))
 			}
-			line, err := json.Marshal(NewEventRecordEnriched(ev, ann.AnnotateUncached(ev)))
 			if err != nil {
 				return RecordLine{}, err
 			}
-			return RecordLine{Key: eventKey(ev), Line: line}, nil
+			return RecordLine{
+				Key: RecordKey{
+					End:    ev.End.UnixNano(),
+					Seq:    ev.Seq,
+					Start:  ev.Start.UnixNano(),
+					Prefix: ev.Prefix.String(),
+				},
+				Line: line,
+			}, nil
 		},
 		close: stop,
 	}, nil

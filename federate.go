@@ -339,8 +339,10 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 	return &sets, nil
 }
 
-// figure4Union merges every shard's sets. The failure count includes
-// the failures nested federations report in their own sets.
+// figure4Union merges every shard's sets. The failure count is of
+// this federation's own backends: one whose sets report failures of
+// its own (a nested federation's partial union) counts as one failed
+// shard, as if it had not answered, whatever its inner count.
 func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Partial, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
 	errs := f.fanOut(func(i int, b Backend) error {
@@ -357,7 +359,9 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 		if s == nil {
 			continue
 		}
-		failed += s.ShardsFailed
+		if s.ShardsFailed > 0 {
+			failed++
+		}
 		if err := merged.MergeSets(*s); err != nil {
 			return nil, failed, err
 		}

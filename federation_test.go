@@ -11,7 +11,6 @@ import (
 	"net/netip"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
@@ -608,177 +607,18 @@ func TestFederationFigure4SetsPartial(t *testing.T) {
 		t.Fatalf("router over a partial router: status=%d X-Shards-Failed=%q, want 200 and 1",
 			resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
 	}
-}
 
-// TestFederationLineMemo pins the StoreBackend's NDJSON line memo: a
-// memoized scan serves exactly the bytes a fresh encoding would,
-// enriched scans bypass the memo, deleted events vanish from memoized
-// scans, and scans racing appends stay consistent.
-func TestFederationLineMemo(t *testing.T) {
-	f := newFederationFixture(t)
-	ctx := context.Background()
-	scan := func(t *testing.T, b *StoreBackend, q Query) []RecordLine {
-		t.Helper()
-		rs, err := b.RecordLines(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.Close()
-		var out []RecordLine
-		for {
-			rl, err := rs.Next()
-			if err == io.EOF {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, rl)
-		}
+	// The count is of the outer router's own shards: the nested router
+	// counts once however many of its shards are down.
+	servers[2].Close()
+	if resp, _ = get(t, router.URL, "/figure4"); resp.Header.Get("X-Shards-Failed") != "2" {
+		t.Fatalf("inner router with 2 shards down: X-Shards-Failed=%q, want 2", resp.Header.Get("X-Shards-Failed"))
 	}
-	memoSize := func(b *StoreBackend) int {
-		n := 0
-		b.lines.Range(func(_, _ any) bool { n++; return true })
-		return n
+	resp, _ = get(t, outer.URL, "/figure4?shape=sets")
+	if resp.StatusCode != 200 || resp.Header.Get("X-Shards-Failed") != "1" {
+		t.Fatalf("router over a router missing 2 shards: status=%d X-Shards-Failed=%q, want 200 and 1",
+			resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
 	}
-	freshStore := func(t *testing.T) *Store {
-		st, err := OpenStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
-	}
-
-	t.Run("byte-identical", func(t *testing.T) {
-		b := NewStoreBackend(f.single, f.p)
-		first, second := scan(t, b, Query{}), scan(t, b, Query{})
-		events := f.single.Events()
-		if len(first) != len(events) || len(second) != len(events) {
-			t.Fatalf("scans returned %d and %d lines, want %d", len(first), len(second), len(events))
-		}
-		for i, ev := range events {
-			rec := NewEventRecord(ev)
-			want, err := json.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(first[i].Line, want) || !bytes.Equal(second[i].Line, want) {
-				t.Fatalf("event %d: memoized line diverges from a fresh encoding\nfirst  %s\nsecond %s\nwant   %s",
-					i, first[i].Line, second[i].Line, want)
-			}
-			if first[i].Key != KeyOf(&rec) || second[i].Key != first[i].Key {
-				t.Fatalf("event %d: keys %+v / %+v, want %+v", i, first[i].Key, second[i].Key, KeyOf(&rec))
-			}
-		}
-		if n := memoSize(b); n != len(events) {
-			t.Fatalf("memo holds %d lines after two full scans of %d events", n, len(events))
-		}
-	})
-
-	t.Run("enrich-uncached", func(t *testing.T) {
-		b := NewStoreBackend(f.single, f.p)
-		scan(t, b, Query{Limit: 10})
-		before := memoSize(b)
-		lines := scan(t, b, Query{Enrich: true})
-		if len(lines) != f.single.Len() {
-			t.Fatalf("enriched scan returned %d lines, want %d", len(lines), f.single.Len())
-		}
-		if n := memoSize(b); n != before {
-			t.Fatalf("enriched scan grew the line memo from %d to %d", before, n)
-		}
-		for _, rl := range lines {
-			var rec EventRecord
-			if err := json.Unmarshal(rl.Line, &rec); err != nil {
-				t.Fatal(err)
-			}
-			if rec.Legitimacy == "" {
-				t.Fatalf("enriched line carries no legitimacy verdict: %s", rl.Line)
-			}
-		}
-	})
-
-	t.Run("delete-prefix", func(t *testing.T) {
-		st := freshStore(t)
-		if err := st.Append(f.events...); err != nil {
-			t.Fatal(err)
-		}
-		b := NewStoreBackend(st, nil)
-		before := scan(t, b, Query{}) // warms the memo
-		victim := f.events[len(f.events)/2].Prefix
-		n, err := st.DeletePrefix(victim, time.Time{})
-		if err != nil || n == 0 {
-			t.Fatalf("DeletePrefix(%s) = %d, %v", victim, n, err)
-		}
-		after := scan(t, b, Query{})
-		if len(after) != len(before)-n {
-			t.Fatalf("memoized scan after deleting %d events returned %d lines, want %d", n, len(after), len(before)-n)
-		}
-		for _, rl := range after {
-			if p := mustPrefix(rl.Key.Prefix); p.Bits() >= victim.Bits() && victim.Contains(p.Addr()) {
-				t.Fatalf("deleted prefix %s still served: %s", p, rl.Line)
-			}
-		}
-	})
-
-	t.Run("concurrent-appends", func(t *testing.T) {
-		want := make(map[uint64][]byte, len(f.events))
-		for _, ev := range f.events {
-			line, err := json.Marshal(NewEventRecord(ev))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[ev.Seq] = line
-		}
-		if len(want) != len(f.events) {
-			t.Fatalf("fixture seqs are not unique: %d distinct of %d", len(want), len(f.events))
-		}
-		st := freshStore(t)
-		b := NewStoreBackend(st, nil)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for r := 0; r < 3; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					rs, err := b.RecordLines(ctx, Query{})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for {
-						rl, err := rs.Next()
-						if err != nil {
-							break
-						}
-						if !bytes.Equal(rl.Line, want[rl.Key.Seq]) {
-							t.Errorf("seq %d: scan during appends served %s, want %s", rl.Key.Seq, rl.Line, want[rl.Key.Seq])
-							rs.Close()
-							return
-						}
-					}
-					rs.Close()
-				}
-			}()
-		}
-		for i := 0; i < len(f.events); i += 16 {
-			if err := st.Append(f.events[i:min(i+16, len(f.events))]...); err != nil {
-				t.Error(err)
-				break
-			}
-		}
-		close(stop)
-		wg.Wait()
-		if got := scan(t, b, Query{}); len(got) != len(f.events) {
-			t.Fatalf("final scan returned %d lines, want %d", len(got), len(f.events))
-		}
-	})
 }
 
 func mustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }

@@ -133,8 +133,10 @@ type Figure4Sets struct {
 	Providers [][]string `json:"providers"`
 	Users     [][]uint32 `json:"users"`
 	Prefixes  [][]string `json:"prefixes"`
-	// ShardsFailed counts shards missing from a federated union — the
-	// sets cover the survivors only. Omitted when zero, so complete
+	// ShardsFailed counts a federation's direct shards that did not
+	// answer or answered with a partial union of their own (a nested
+	// federation counts once, however many of its shards failed) — the
+	// sets cover what the rest returned. Omitted when zero, so complete
 	// answers keep their historical shape.
 	ShardsFailed int `json:"shards_failed,omitempty"`
 }

@@ -3,6 +3,7 @@ package bgpblackholing
 import (
 	"fmt"
 	"iter"
+	"math"
 	"net/netip"
 	"slices"
 	"sort"
@@ -341,6 +342,10 @@ func (p *Pipeline) Table4FromStore(st *Store) []Table4Row {
 // EventRecord is the JSON-friendly projection of an Event: map-valued
 // evidence becomes sorted lists, providers render in their canonical
 // "AS123" / "ixp:4" notation.
+// appendRecordLine writes a plain record's JSON by hand for NDJSON
+// streams: a field added here must be added there too
+// (FuzzAppendRecordLine and TestAppendRecordLineReplayEvents compare
+// the two).
 type EventRecord struct {
 	Prefix          string    `json:"prefix"`
 	Start           time.Time `json:"start"`
@@ -415,6 +420,115 @@ func NewEventRecordEnriched(ev *Event, ann Annotation) EventRecord {
 	r.Legitimacy = ann.Legitimacy
 	r.LegitimacyReasons = ann.Reasons
 	return r
+}
+
+// appendRecordLine appends the bytes of json.Marshal(NewEventRecord(ev))
+// to b, built straight from the event: no intermediate record, no
+// reflection. It reports false for the values whose encoding/json form
+// it does not reproduce — an invalid prefix, a time outside years
+// 0–9999, a duration short enough to encode in exponent form — and the
+// caller then marshals the record. Fields follow EventRecord's
+// declaration order, as encoding/json writes them. Provider, community
+// and platform names are plain ASCII that JSON never escapes, so they
+// are copied as they are.
+func appendRecordLine(b []byte, ev *Event) ([]byte, bool) {
+	secs := ev.Duration().Seconds()
+	if abs := math.Abs(secs); !ev.Prefix.IsValid() || abs != 0 && abs < 1e-6 {
+		return b, false
+	}
+	b = append(b, `{"prefix":"`...)
+	b = ev.Prefix.AppendTo(b)
+	b = append(b, `","start":`...)
+	b, ok := appendTimeJSON(b, ev.Start)
+	if !ok {
+		return b, false
+	}
+	b = append(b, `,"end":`...)
+	if b, ok = appendTimeJSON(b, ev.End); !ok {
+		return b, false
+	}
+	b = append(b, `,"duration_seconds":`...)
+	b = strconv.AppendFloat(b, secs, 'f', -1, 64)
+	if ev.StartUnknown {
+		b = append(b, `,"start_unknown":true`...)
+	}
+	var scratch [8]string
+	names := scratch[:0]
+	for pr := range ev.Providers {
+		names = append(names, pr.String())
+	}
+	b = appendNames(b, `,"providers":[`, names)
+	if len(ev.Users) > 0 {
+		var ub [8]uint32
+		users := ub[:0]
+		for u := range ev.Users {
+			users = append(users, uint32(u))
+		}
+		slices.Sort(users)
+		b = append(b, `,"users":[`...)
+		for i, u := range users {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, uint64(u), 10)
+		}
+		b = append(b, ']')
+	}
+	names = scratch[:0]
+	for c := range ev.Communities {
+		names = append(names, c.String())
+	}
+	b = appendNames(b, `,"communities":[`, names)
+	names = scratch[:0]
+	for p := range ev.Platforms {
+		names = append(names, p.String())
+	}
+	b = appendNames(b, `,"platforms":[`, names)
+	b = append(b, `,"peers":`...)
+	b = strconv.AppendInt(b, int64(len(ev.Peers)), 10)
+	b = append(b, `,"detections":`...)
+	b = strconv.AppendInt(b, int64(ev.Detections), 10)
+	if ev.DirectFeed {
+		b = append(b, `,"direct_feed":true`...)
+	}
+	if ev.SawNoExport {
+		b = append(b, `,"saw_no_export":true`...)
+	}
+	if ev.Seq != 0 {
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendUint(b, ev.Seq, 10)
+	}
+	return append(b, '}'), true
+}
+
+// appendTimeJSON appends t as time.Time.MarshalJSON renders its UTC
+// form; false for a year MarshalJSON rejects.
+func appendTimeJSON(b []byte, t time.Time) ([]byte, bool) {
+	t = t.UTC()
+	if y := t.Year(); y < 0 || y > 9999 {
+		return b, false
+	}
+	b = append(b, '"')
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	return append(b, '"'), true
+}
+
+// appendNames appends a sorted JSON string list under key (which ends
+// in the opening bracket), or nothing when names is empty, as
+// omitempty does.
+func appendNames(b []byte, key string, names []string) []byte {
+	if len(names) == 0 {
+		return b
+	}
+	slices.Sort(names)
+	b = append(b, key...)
+	for i, n := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, '"'), n...), '"')
+	}
+	return append(b, ']')
 }
 
 // ParseProviderRef parses the canonical provider notation: "AS3356"

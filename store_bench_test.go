@@ -369,63 +369,39 @@ func BenchmarkFigure4Materialized(b *testing.B) {
 	}
 }
 
-// scanRecordLines drains one full NDJSON scan and returns its bytes,
-// newlines included.
-func scanRecordLines(b *testing.B, be *StoreBackend) int64 {
-	rs, err := be.RecordLines(context.Background(), Query{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rs.Close()
-	var n int64
-	for {
-		rl, err := rs.Next()
-		if err != nil {
-			return n
-		}
-		n += int64(len(rl.Line) + 1)
-	}
-}
-
-// recordLinesStore holds the bench window's events, for the two
-// RecordLines scan rows.
-func recordLinesStore(b *testing.B) *Store {
-	events := storeBenchEvents(b)
+// BenchmarkRecordLinesScan is a full StoreBackend NDJSON scan over
+// the bench window: query iteration plus one projection, compact
+// encoding and merge key per event — what a shard pays per line of a
+// format=ndjson /events answer.
+func BenchmarkRecordLinesScan(b *testing.B) {
 	st, err := OpenStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { st.Close() })
-	if err := st.Append(events...); err != nil {
+	defer st.Close()
+	if err := st.Append(storeBenchEvents(b)...); err != nil {
 		b.Fatal(err)
 	}
-	return st
-}
-
-// BenchmarkRecordLinesScan is a full StoreBackend NDJSON scan with a
-// warm line memo: every event's line is already encoded, so the scan
-// is query iteration plus memo lookups. CI gates it at ≤0.25×
-// BenchmarkRecordLinesScanCold.
-func BenchmarkRecordLinesScan(b *testing.B) {
-	be := NewStoreBackend(recordLinesStore(b), nil)
-	b.SetBytes(scanRecordLines(b, be))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanRecordLines(b, be)
+	be := NewStoreBackend(st, nil)
+	scan := func() (n int64) {
+		rs, err := be.RecordLines(context.Background(), Query{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rs.Close()
+		for {
+			rl, err := rs.Next()
+			if err != nil {
+				return n
+			}
+			n += int64(len(rl.Line) + 1)
+		}
 	}
-}
-
-// BenchmarkRecordLinesScanCold is the same scan through a fresh
-// StoreBackend each time, so every line is projected and encoded — the
-// cost every scan paid before the memo.
-func BenchmarkRecordLinesScanCold(b *testing.B) {
-	st := recordLinesStore(b)
-	b.SetBytes(scanRecordLines(b, NewStoreBackend(st, nil)))
+	b.SetBytes(scan())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanRecordLines(b, NewStoreBackend(st, nil))
+		scan()
 	}
 }
 
