@@ -92,8 +92,10 @@ type RecordSet struct {
 	Scanned int
 	// Elapsed is the whole call's wall-clock time.
 	Elapsed time.Duration
-	// ShardsFailed counts backends that could not answer (federated
-	// queries only; the records are the surviving shards' merge).
+	// ShardsFailed counts backends that could not answer or answered
+	// partially (federated queries only; the records are the surviving
+	// shards' merge). A RemoteBackend reports the server's
+	// X-Shards-Failed count.
 	ShardsFailed int
 }
 
@@ -111,8 +113,9 @@ type RecordLine struct {
 // can set response headers before the first body byte.
 type RecordStream struct {
 	// ShardsFailed counts backends that failed to open or prime their
-	// stream. A shard that dies mid-stream after delivering records
-	// cannot be reflected here; it ends that shard's contribution.
+	// stream, or opened one reporting failures of its own. A shard that
+	// dies mid-stream after delivering records cannot be reflected
+	// here; it ends that shard's contribution.
 	ShardsFailed int
 
 	next  func() (RecordLine, error)
@@ -145,9 +148,9 @@ type LegitimacySummary struct {
 	CommunityDoc map[string]int `json:"community_doc"`
 	Reasons      map[string]int `json:"reasons"`
 	ElapsedUS    int64          `json:"elapsed_us"`
-	// ShardsFailed counts backends missing from the aggregation
-	// (federated queries only; omitted when zero so single-store
-	// responses keep their historical shape).
+	// ShardsFailed counts backends missing from the aggregation or
+	// reporting failures of their own (federated queries only; omitted
+	// when zero so single-store responses keep their historical shape).
 	ShardsFailed int `json:"shards_failed,omitempty"`
 }
 

@@ -38,7 +38,10 @@ import (
 // A failed shard degrades the answer instead of failing it: the merge
 // continues over the surviving shards and the failure is counted
 // (RecordSet.ShardsFailed, the X-Shards-Failed response header, the
-// stats shards block). Only when every shard fails does a call error.
+// stats shards block). The count is of this federation's own backends:
+// one whose answer reports failures of its own (a nested federation
+// answering partially) counts as one failed shard, whatever its inner
+// count. Only when every shard fails does a call error.
 //
 // FederatedStore itself implements Backend, so a federation can be
 // served by NewRouterHandler, queried by bhquery, or even mounted as a
@@ -162,6 +165,9 @@ func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, erro
 		if rs == nil {
 			continue
 		}
+		if rs.ShardsFailed > 0 {
+			out.ShardsFailed++
+		}
 		out.Total += rs.Total
 		out.Scanned += rs.Scanned
 		// Shard answers are in append order, which is RecordKey order
@@ -268,11 +274,14 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 			continue
 		}
 		rl, err := s.Next()
+		switch {
+		case err != nil && !errors.Is(err, io.EOF):
+			failed++
+			f.counters[i].failures.Add(1)
+		case s.ShardsFailed > 0:
+			failed++
+		}
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				failed++
-				f.counters[i].failures.Add(1)
-			}
 			s.Close()
 			streams[i] = nil
 			continue
@@ -339,10 +348,8 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 	return &sets, nil
 }
 
-// figure4Union merges every shard's sets. The failure count is of
-// this federation's own backends: one whose sets report failures of
-// its own (a nested federation's partial union) counts as one failed
-// shard, as if it had not answered, whatever its inner count.
+// figure4Union merges every shard's sets. A shard whose sets report
+// failures of its own counts as one failed shard (see FederatedStore).
 func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Partial, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
 	errs := f.fanOut(func(i int, b Backend) error {
@@ -387,6 +394,9 @@ func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*Legit
 	for _, s := range sums {
 		if s == nil {
 			continue
+		}
+		if s.ShardsFailed > 0 {
+			out.ShardsFailed++
 		}
 		out.Total += s.Total
 		for k, v := range s.Legitimacy {

@@ -602,10 +602,18 @@ func TestFederationFigure4SetsPartial(t *testing.T) {
 	}
 	outer := httptest.NewServer(NewRouterHandler(NewFederatedStore(backends...), RouterOptions{}))
 	defer outer.Close()
-	resp, _ = get(t, outer.URL, "/figure4")
-	if resp.StatusCode != 200 || resp.Header.Get("X-Shards-Failed") != "1" {
-		t.Fatalf("router over a partial router: status=%d X-Shards-Failed=%q, want 200 and 1",
-			resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
+	for _, path := range []string{"/figure4", "/events", "/events?format=ndjson", "/legitimacy"} {
+		resp, body = get(t, outer.URL, path)
+		if resp.StatusCode != 200 || resp.Header.Get("X-Shards-Failed") != "1" {
+			t.Fatalf("router over a partial router, %s: status=%d X-Shards-Failed=%q, want 200 and 1",
+				path, resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
+		}
+		if path == "/legitimacy" {
+			var sum LegitimacySummary
+			if err := json.Unmarshal(body, &sum); err != nil || sum.ShardsFailed != 1 {
+				t.Fatalf("router over a partial router, /legitimacy body: shards_failed=%d (err %v), want 1", sum.ShardsFailed, err)
+			}
+		}
 	}
 
 	// The count is of the outer router's own shards: the nested router
@@ -614,10 +622,12 @@ func TestFederationFigure4SetsPartial(t *testing.T) {
 	if resp, _ = get(t, router.URL, "/figure4"); resp.Header.Get("X-Shards-Failed") != "2" {
 		t.Fatalf("inner router with 2 shards down: X-Shards-Failed=%q, want 2", resp.Header.Get("X-Shards-Failed"))
 	}
-	resp, _ = get(t, outer.URL, "/figure4?shape=sets")
-	if resp.StatusCode != 200 || resp.Header.Get("X-Shards-Failed") != "1" {
-		t.Fatalf("router over a router missing 2 shards: status=%d X-Shards-Failed=%q, want 200 and 1",
-			resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
+	for _, path := range []string{"/figure4?shape=sets", "/events", "/events?format=ndjson", "/legitimacy"} {
+		resp, _ = get(t, outer.URL, path)
+		if resp.StatusCode != 200 || resp.Header.Get("X-Shards-Failed") != "1" {
+			t.Fatalf("router over a router missing 2 shards, %s: status=%d X-Shards-Failed=%q, want 200 and 1",
+				path, resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
-	"bgpblackholing/internal/store"
+	"bgpblackholing/internal/prefixtrie"
 )
 
 // Index is a compiled rule set: matching an event against N rules costs
@@ -19,7 +19,7 @@ type Index struct {
 	// trie holds every prefix-constrained rule's prefixes; postings are
 	// rule ordinals. One trie serves all three modes: Covering answers
 	// exact and covered, Covered answers lpm.
-	trie store.Trie
+	trie prefixtrie.Trie
 	// nExactCovered / nLPM count rules per trie lookup family, so Match
 	// skips walks no rule needs.
 	nExactCovered int
@@ -171,9 +171,9 @@ func (ix *Index) Match(ev *core.Event, verdict func() string) []int32 {
 	if ev.Prefix.IsValid() {
 		if ix.nExactCovered > 0 {
 			masked := ev.Prefix.Masked()
-			for _, m := range ix.trie.Covering(ev.Prefix) {
-				exact := m.Prefix == masked
-				for _, ord := range m.Ords {
+			for p, ords := range ix.trie.Covering(ev.Prefix) {
+				exact := p == masked
+				for _, ord := range ords {
 					r := &ix.rules[ord]
 					switch r.Mode {
 					case ModeCovered:
@@ -187,8 +187,8 @@ func (ix *Index) Match(ev *core.Event, verdict func() string) []int32 {
 			}
 		}
 		if ix.nLPM > 0 {
-			for _, m := range ix.trie.Covered(ev.Prefix) {
-				for _, ord := range m.Ords {
+			for _, ords := range ix.trie.Covered(ev.Prefix) {
+				for _, ord := range ords {
 					if ix.rules[ord].Mode == ModeLPM {
 						try(ord)
 					}

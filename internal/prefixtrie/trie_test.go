@@ -1,6 +1,7 @@
-package store
+package prefixtrie
 
 import (
+	"iter"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -71,10 +72,24 @@ func (n *naive) lpm(q netip.Prefix) (netip.Prefix, bool) {
 	return best, ok
 }
 
-func asMap(ms []CoveringMatch) map[netip.Prefix][]int32 {
+func asMap(seq iter.Seq2[netip.Prefix, []int32]) map[netip.Prefix][]int32 {
 	out := map[netip.Prefix][]int32{}
-	for _, m := range ms {
-		out[m.Prefix] = m.Ords
+	for p, ords := range seq {
+		out[p] = ords
+	}
+	return out
+}
+
+// match is one yielded (prefix, postings) pair, in yield order.
+type match struct {
+	Prefix netip.Prefix
+	Ords   []int32
+}
+
+func collect(seq iter.Seq2[netip.Prefix, []int32]) []match {
+	var out []match
+	for p, ords := range seq {
+		out = append(out, match{p, ords})
 	}
 	return out
 }
@@ -152,7 +167,7 @@ func TestTrieCoveringIsOrdered(t *testing.T) {
 	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25"} {
 		tr.Insert(netip.MustParsePrefix(s), int32(i))
 	}
-	cov := tr.Covering(netip.MustParsePrefix("10.1.2.129/32"))
+	cov := collect(tr.Covering(netip.MustParsePrefix("10.1.2.129/32")))
 	for i := 1; i < len(cov); i++ {
 		if cov[i-1].Prefix.Bits() >= cov[i].Prefix.Bits() {
 			t.Fatalf("Covering not shortest-first: %v", cov)
@@ -163,5 +178,65 @@ func TestTrieCoveringIsOrdered(t *testing.T) {
 	}
 	if p, ords, ok := tr.LPM(netip.MustParsePrefix("10.1.2.129/32")); !ok || p.String() != "10.1.2.128/25" || !slices.Equal(ords, []int32{3}) {
 		t.Fatalf("LPM: got %v %v %v", p, ords, ok)
+	}
+}
+
+// TestTrieIteratorsStopEarly breaks out of both walks after the first
+// match: an iterator that kept calling yield would panic the range loop.
+func TestTrieIteratorsStopEarly(t *testing.T) {
+	tr := &Trie{}
+	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/16"} {
+		tr.Insert(netip.MustParsePrefix(s), int32(i))
+	}
+	for name, seq := range map[string]iter.Seq2[netip.Prefix, []int32]{
+		"Covering": tr.Covering(netip.MustParsePrefix("10.1.2.0/24")),
+		"Covered":  tr.Covered(netip.MustParsePrefix("10.0.0.0/8")),
+	} {
+		n := 0
+		for range seq {
+			n++
+			break
+		}
+		if n != 1 {
+			t.Fatalf("%s: visited %d before break, want 1", name, n)
+		}
+	}
+}
+
+// TestTrieInvalidPrefixIgnored pins that a zero prefix is never stored
+// and never matches.
+func TestTrieInvalidPrefixIgnored(t *testing.T) {
+	tr := &Trie{}
+	tr.Insert(netip.Prefix{}, 1)
+	tr.Insert(netip.MustParsePrefix("::/0"), 2)
+	if tr.Len() != 1 || tr.Exact(netip.Prefix{}) != nil {
+		t.Fatalf("Len=%d Exact(zero)=%v, want 1 and nil", tr.Len(), tr.Exact(netip.Prefix{}))
+	}
+	if _, _, ok := tr.LPM(netip.Prefix{}); ok {
+		t.Fatal("LPM(zero) matched")
+	}
+	if got := collect(tr.Covered(netip.Prefix{})); len(got) != 0 {
+		t.Fatalf("Covered(zero) = %v", got)
+	}
+}
+
+// TestTrieLPMDoesNotAllocate pins the point-query walk as allocation
+// free, for hits and misses in both families.
+func TestTrieLPMDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := &Trie{}
+	for i := 0; i < 500; i++ {
+		tr.Insert(randPrefix(rng), int32(i))
+	}
+	queries := make([]netip.Prefix, 64)
+	for i := range queries {
+		queries[i] = randPrefix(rng)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.LPM(queries[i%len(queries)])
+		i++
+	}); n != 0 {
+		t.Fatalf("LPM allocates %.1f times per call", n)
 	}
 }

@@ -165,3 +165,71 @@ func TestStatsIPv6Primary(t *testing.T) {
 		t.Fatalf("friendly/stranded = %d/%d, want 1/1", st.BlackholeFriendly, st.BlackholeStranded)
 	}
 }
+
+// validateScan is the O(n) reference implementation, the property-test
+// oracle for the trie-backed Validate.
+func (r *Registry) validateScan(p netip.Prefix, origin bgp.ASN) State {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	covered := false
+	for _, roa := range r.roas {
+		if !roa.Covers(p) {
+			continue
+		}
+		covered = true
+		if roa.ASN == origin && p.Bits() <= roa.MaxLength {
+			return Valid
+		}
+	}
+	if covered {
+		return Invalid
+	}
+	return NotFound
+}
+
+// validateQueries builds a registry over a generated world and the
+// announcements replay validates: every aggregate and a host route in
+// it, each at its owner and at a foreign origin.
+func validateQueries(tb testing.TB, scale float64) (*Registry, []netip.Prefix, []bgp.ASN) {
+	tb.Helper()
+	topo, err := topology.Generate(topology.DefaultConfig().Scaled(scale))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg := Build(topo, DefaultBuildConfig())
+	var ps []netip.Prefix
+	var origins []bgp.ASN
+	for i, asn := range topo.Order {
+		foreign := topo.Order[(i+1)%len(topo.Order)]
+		for _, p := range topo.AS(asn).Prefixes {
+			host := netip.PrefixFrom(p.Addr().Next(), p.Addr().BitLen())
+			ps = append(ps, p, host, p, host)
+			origins = append(origins, asn, asn, foreign, foreign)
+		}
+	}
+	return reg, ps, origins
+}
+
+// TestValidateDoesNotAllocate pins Validate, which runs per returned
+// event on enriched queries, as allocation free.
+func TestValidateDoesNotAllocate(t *testing.T) {
+	reg, ps, origins := validateQueries(t, 0.15)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		reg.Validate(ps[i%len(ps)], origins[i%len(ps)])
+		i++
+	}); n != 0 {
+		t.Fatalf("Validate allocates %.1f times per call", n)
+	}
+}
+
+// BenchmarkRegistryValidate measures one origin validation against the
+// registry of the full-size world.
+func BenchmarkRegistryValidate(b *testing.B) {
+	reg, ps, origins := validateQueries(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.Validate(ps[i%len(ps)], origins[i%len(ps)])
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"bgpblackholing/internal/bgp"
+	"bgpblackholing/internal/prefixtrie"
 	"bgpblackholing/internal/topology"
 )
 
@@ -56,31 +57,30 @@ func (r ROA) Covers(p netip.Prefix) bool {
 		r.Prefix.Bits() <= p.Bits() && r.Prefix.Contains(p.Addr())
 }
 
-// Registry is a validated ROA set. Validation answers from an index —
-// ROAs sorted by (address, length) plus the set of distinct prefix
-// lengths present — built lazily on first lookup and invalidated by
-// Add, so a query-time caller never pays a linear scan per event. All
-// methods are safe for concurrent use.
+// Registry is a validated ROA set. Validation answers from a prefix
+// trie that Add fills as it goes, so a query-time caller never pays a
+// linear scan per event. All methods are safe for concurrent use.
 type Registry struct {
 	mu   sync.RWMutex
 	roas []ROA
 
-	// Index state: sorted is roas ordered by (addr, bits); lens4/lens6
-	// are the distinct prefix lengths present per family, ascending. A
-	// covering lookup for p probes, for each indexed length l <= p.Bits(),
-	// the exact entry (p masked to l, l) by binary search — O(L log n)
-	// with L bounded by 33/129 and in practice a handful.
-	indexed      bool
-	sorted       []ROA
-	lens4, lens6 []int
+	// masked holds every ROA with a valid prefix, masked, in
+	// registration order; trie postings index it. An invalid (zero)
+	// prefix covers nothing, so it is registered but never indexed.
+	masked []ROA
+	trie   prefixtrie.Trie
 }
 
 // Add registers a ROA.
 func (r *Registry) Add(roa ROA) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.roas = append(r.roas, roa)
-	r.indexed = false
-	r.mu.Unlock()
+	if roa.Prefix.IsValid() {
+		roa.Prefix = roa.Prefix.Masked()
+		r.trie.Insert(roa.Prefix, int32(len(r.masked)))
+		r.masked = append(r.masked, roa)
+	}
 }
 
 // Len returns the ROA count.
@@ -99,148 +99,38 @@ func (r *Registry) ROAs() []ROA {
 	return out
 }
 
-// compareROA orders ROAs by masked address, then prefix length.
-// netip.Addr.Compare sorts IPv4 before IPv6, so the families never
-// interleave.
-func compareROA(a, b ROA) int {
-	if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
-		return c
-	}
-	return a.Prefix.Bits() - b.Prefix.Bits()
-}
-
-// ensureIndex (re)builds the sorted index if Add invalidated it.
-func (r *Registry) ensureIndex() {
-	r.mu.RLock()
-	ok := r.indexed
-	r.mu.RUnlock()
-	if ok {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.indexed {
-		return
-	}
-	r.sorted = r.sorted[:0]
-	for _, roa := range r.roas {
-		// An invalid (zero) prefix can cover nothing; indexing it would
-		// index Bits() == -1. The old linear scan ignored such ROAs
-		// (Covers returned false), so the index does too.
-		if !roa.Prefix.IsValid() {
-			continue
-		}
-		r.sorted = append(r.sorted, ROA{Prefix: roa.Prefix.Masked(), MaxLength: roa.MaxLength, ASN: roa.ASN})
-	}
-	sort.Slice(r.sorted, func(i, j int) bool { return compareROA(r.sorted[i], r.sorted[j]) < 0 })
-	r.lens4, r.lens6 = r.lens4[:0], r.lens6[:0]
-	seen4, seen6 := [129]bool{}, [129]bool{}
-	for _, roa := range r.sorted {
-		if roa.Prefix.Addr().Is4() {
-			seen4[roa.Prefix.Bits()] = true
-		} else {
-			seen6[roa.Prefix.Bits()] = true
-		}
-	}
-	for l := 0; l <= 128; l++ {
-		if seen4[l] {
-			r.lens4 = append(r.lens4, l)
-		}
-		if seen6[l] {
-			r.lens6 = append(r.lens6, l)
-		}
-	}
-	r.indexed = true
-}
-
-// coveringWalk visits every indexed ROA whose prefix covers p, in
-// (address, length) order, without allocating: one binary search per
-// distinct ROA prefix length no longer than p. Returning false stops
-// the walk. Caller holds the read lock with the index built.
-func (r *Registry) coveringWalk(p netip.Prefix, visit func(ROA) bool) {
-	lens := r.lens4
-	if !p.Addr().Is4() {
-		lens = r.lens6
-	}
-	for _, l := range lens {
-		if l > p.Bits() {
-			return
-		}
-		q, err := p.Addr().Prefix(l)
-		if err != nil {
-			continue
-		}
-		probe := ROA{Prefix: q}
-		i := sort.Search(len(r.sorted), func(i int) bool { return compareROA(r.sorted[i], probe) >= 0 })
-		for ; i < len(r.sorted) && r.sorted[i].Prefix == q; i++ {
-			if !visit(r.sorted[i]) {
-				return
-			}
-		}
-	}
-}
-
-// CoveringROAs returns every ROA whose prefix covers p, in (address,
-// length) order. The lookup is indexed: one binary search per distinct
-// ROA prefix length no longer than p, never a scan of the registry.
+// CoveringROAs returns every ROA whose prefix covers p, prefixes
+// masked, in (address, length) order and registration order within a
+// prefix.
 func (r *Registry) CoveringROAs(p netip.Prefix) []ROA {
-	if !p.IsValid() {
-		return nil
-	}
-	r.ensureIndex()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []ROA
-	r.coveringWalk(p, func(roa ROA) bool {
-		out = append(out, roa)
-		return true
-	})
+	for _, ords := range r.trie.Covering(p) {
+		for _, i := range ords {
+			out = append(out, r.masked[i])
+		}
+	}
 	return out
 }
 
 // Validate classifies an announcement of prefix p with origin AS o.
 // Per RFC 6811: Valid if any covering ROA matches origin and length;
 // Invalid if covering ROAs exist but none matches; NotFound otherwise.
-// The covering set comes from the registry index (see coveringWalk) —
-// the hot query-time path neither scans the registry nor allocates.
+// It walks the trie's covering chain and does not allocate.
 func (r *Registry) Validate(p netip.Prefix, origin bgp.ASN) State {
-	if !p.IsValid() {
-		return NotFound
-	}
-	r.ensureIndex()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	state := NotFound
-	r.coveringWalk(p, func(roa ROA) bool {
+	for _, ords := range r.trie.Covering(p) {
 		state = Invalid
-		if roa.ASN == origin && p.Bits() <= roa.MaxLength {
-			state = Valid
-			return false
+		for _, i := range ords {
+			if roa := r.masked[i]; roa.ASN == origin && p.Bits() <= roa.MaxLength {
+				return Valid
+			}
 		}
-		return true
-	})
+	}
 	return state
-}
-
-// validateScan is the pre-index O(n) reference implementation, kept as
-// the property-test oracle for the indexed Validate/CoveringROAs path.
-func (r *Registry) validateScan(p netip.Prefix, origin bgp.ASN) State {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	covered := false
-	for _, roa := range r.roas {
-		if !roa.Covers(p) {
-			continue
-		}
-		covered = true
-		if roa.ASN == origin && p.Bits() <= roa.MaxLength {
-			return Valid
-		}
-	}
-	if covered {
-		return Invalid
-	}
-	return NotFound
 }
 
 // ValidOrigin adapts the registry to the collector layer's validation

@@ -1,8 +1,9 @@
 // Package store is the persistent blackholing event store: an
 // append-only, segmented, checksummed binary log of closed events with
 // atomic-rename commits and crash recovery, plus in-memory indexes —
-// a binary radix (patricia) trie over announced prefixes, time-bucket
-// postings, and per-user / per-provider / per-community postings —
+// a prefix trie (internal/prefixtrie) over announced prefixes,
+// time-bucket postings, and per-user / per-provider / per-community
+// postings —
 // rebuilt on open, so longitudinal queries never replay raw BGP data.
 //
 // The store is single-writer, multi-reader: one process appends (the

@@ -187,12 +187,12 @@ func (s *Store) prefixCandidates(f Filter) []int32 {
 			lists = append(lists, ords)
 		}
 	case PrefixCovered:
-		for _, m := range s.trie.Covered(f.Prefix) {
-			lists = append(lists, m.Ords)
+		for _, ords := range s.trie.Covered(f.Prefix) {
+			lists = append(lists, ords)
 		}
 	case PrefixCovering:
-		for _, m := range s.trie.Covering(f.Prefix) {
-			lists = append(lists, m.Ords)
+		for _, ords := range s.trie.Covering(f.Prefix) {
+			lists = append(lists, ords)
 		}
 	}
 	return mergeOrds(lists)

@@ -382,6 +382,16 @@ func (m *segSummary) tombMayAffect(tb Tombstone) bool {
 	return fam.overlaps(first, last)
 }
 
+// keyBytes returns the address bytes in the family's native width.
+func keyBytes(a netip.Addr) []byte {
+	if a.Is4() {
+		b := a.As4()
+		return b[:]
+	}
+	b := a.As16()
+	return b[:]
+}
+
 // prefixRangeBytes returns the first and last network addresses a
 // prefix can cover, as native-width big-endian bytes.
 func prefixRangeBytes(p netip.Prefix) (first, last []byte) {

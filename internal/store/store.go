@@ -18,6 +18,7 @@ import (
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
+	"bgpblackholing/internal/prefixtrie"
 )
 
 // Options configures Open.
@@ -288,7 +289,7 @@ type Store struct {
 	activeRecs   []*core.Event
 	activeOthers [][]byte
 
-	trie        *Trie
+	trie        *prefixtrie.Trie
 	byUser      map[bgp.ASN][]int32
 	byProvider  map[core.ProviderRef][]int32
 	byCommunity map[bgp.Community][]int32
@@ -349,7 +350,7 @@ func open(dir string, opts Options) (*Store, error) {
 		dir:            dir,
 		opts:           opts,
 		inst:           opts.Instruments,
-		trie:           &Trie{},
+		trie:           &prefixtrie.Trie{},
 		byUser:         map[bgp.ASN][]int32{},
 		byProvider:     map[core.ProviderRef][]int32{},
 		byCommunity:    map[bgp.Community][]int32{},
@@ -1140,8 +1141,8 @@ func (s *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 	// Collect doomed ordinals first: unindex mutates the postings the
 	// trie matches alias.
 	var doomed []int32
-	for _, m := range s.trie.Covered(tb.Prefix) {
-		for _, ord := range m.Ords {
+	for _, ords := range s.trie.Covered(tb.Prefix) {
+		for _, ord := range ords {
 			if ev := s.events[ord]; ev != nil && (tb.UpTo.IsZero() || !ev.End.After(tb.UpTo)) {
 				doomed = append(doomed, ord)
 			}

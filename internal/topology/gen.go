@@ -190,7 +190,6 @@ func Generate(cfg Config) (*Topology, error) {
 	t := &Topology{
 		ASes:          map[bgp.ASN]*AS{},
 		routeServerOf: map[bgp.ASN]*IXP{},
-		originOf:      map[netip.Prefix]bgp.ASN{},
 	}
 	alloc := &prefixAllocator{}
 
@@ -234,11 +233,9 @@ func Generate(cfg Config) (*Topology, error) {
 			id := len(t.Order)
 			v6 := netip.PrefixFrom(netip.AddrFrom16([16]byte{0x2a, 0x00, byte(id >> 8), byte(id)}), 32)
 			as.Prefixes = append(as.Prefixes, v6)
-			t.originOf[v6] = asn
 		}
 		t.ASes[asn] = as
 		t.Order = append(t.Order, asn)
-		t.originOf[primary] = asn
 		return as
 	}
 

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"bgpblackholing/internal/bgp"
+	"bgpblackholing/internal/prefixtrie"
 )
 
 // Kind is a network business type, following the PeeringDB/CAIDA
@@ -235,25 +236,35 @@ type Topology struct {
 
 	// routeServerOf maps route-server ASN to its IXP.
 	routeServerOf map[bgp.ASN]*IXP
-	// originOf maps each originated prefix to its AS.
-	originOf map[netip.Prefix]bgp.ASN
 
 	conesMu sync.Mutex
 	cones   map[bgp.ASN]map[bgp.ASN]bool
 
 	// indexOnce lazily builds the dense AS index used by hot paths
-	// (propagation visited sets) in place of per-call hash maps.
+	// (propagation visited sets) in place of per-call hash maps, and
+	// the origin trie: every aggregate of an AS in Order, postings
+	// holding the AS's position in Order.
 	indexOnce sync.Once
 	indexOf   map[bgp.ASN]int
 	indexed   []bgp.ASN
+	origins   prefixtrie.Trie
 }
 
 // buildIndex assigns each AS a dense index in deterministic order:
 // Order first, then any ASes registered outside Order (hand-assembled
-// test topologies sometimes have them) in ascending ASN order. The
-// topology must not gain ASes after the first Index/NumIndexed call.
+// test topologies sometimes have them) in ascending ASN order, and
+// files Order's aggregates in the origin trie. The topology must not
+// gain ASes or aggregates after the first Index, NumIndexed or
+// OriginOf call.
 func (t *Topology) buildIndex() {
 	t.indexOnce.Do(func() {
+		for i, a := range t.Order {
+			if as := t.ASes[a]; as != nil {
+				for _, p := range as.Prefixes {
+					t.origins.Insert(p, int32(i))
+				}
+			}
+		}
 		t.indexOf = make(map[bgp.ASN]int, len(t.ASes))
 		indexed := make([]bgp.ASN, 0, len(t.ASes))
 		add := func(a bgp.ASN) {
@@ -316,24 +327,17 @@ func (t *Topology) IXPByPeerIP(addr netip.Addr) *IXP {
 	return nil
 }
 
-// OriginOf returns the AS originating the most-specific aggregate
-// covering p, or 0.
+// OriginOf returns the AS originating the longest aggregate that
+// contains p's address, or 0. Only ASes in Order count; when several
+// originate that aggregate, the first in Order wins.
 func (t *Topology) OriginOf(p netip.Prefix) bgp.ASN {
-	if asn, ok := t.originOf[p]; ok {
-		return asn
+	t.buildIndex()
+	a := p.Addr()
+	_, ords, ok := t.origins.LPM(netip.PrefixFrom(a, a.BitLen()))
+	if !ok {
+		return 0
 	}
-	// Fall back to the covering aggregate (blackholed /32s fall inside
-	// an AS's primary prefix).
-	best := bgp.ASN(0)
-	bestBits := -1
-	for _, asn := range t.Order {
-		for _, agg := range t.ASes[asn].Prefixes {
-			if agg.Addr().Is4() == p.Addr().Is4() && agg.Contains(p.Addr()) && agg.Bits() > bestBits {
-				best, bestBits = asn, agg.Bits()
-			}
-		}
-	}
-	return best
+	return t.Order[ords[0]]
 }
 
 // Neighbors returns all BGP neighbors of a (providers, customers, peers).

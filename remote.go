@@ -241,14 +241,22 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// getJSON runs a hedged GET and decodes the answer.
-func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Values, v any) error {
+// getJSON runs a hedged GET, decodes the answer and returns the
+// server's X-Shards-Failed count.
+func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Values, v any) (failed int, err error) {
 	resp, _, err := b.hedged(ctx, path, params)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
+	return shardsFailed(resp.Header), json.NewDecoder(resp.Body).Decode(v)
+}
+
+// shardsFailed reads the X-Shards-Failed header a federated server
+// sets on a partial answer; 0 when absent or malformed.
+func shardsFailed(h http.Header) int {
+	n, _ := strconv.Atoi(h.Get("X-Shards-Failed"))
+	return max(n, 0)
 }
 
 // queryParams renders a Query as the /events parameter set.
@@ -308,14 +316,16 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 		Scanned int            `json:"scanned"`
 		Events  []*EventRecord `json:"events"`
 	}
-	if err := b.getJSON(ctx, "/events", params, &envelope); err != nil {
+	failed, err := b.getJSON(ctx, "/events", params, &envelope)
+	if err != nil {
 		return nil, err
 	}
 	return &RecordSet{
-		Records: envelope.Events,
-		Total:   envelope.Total,
-		Scanned: envelope.Scanned,
-		Elapsed: time.Since(began),
+		Records:      envelope.Events,
+		Total:        envelope.Total,
+		Scanned:      envelope.Scanned,
+		Elapsed:      time.Since(began),
+		ShardsFailed: failed,
 	}, nil
 }
 
@@ -525,6 +535,7 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	}
 	rd := bufio.NewReaderSize(resp.Body, 64<<10)
 	return &RecordStream{
+		ShardsFailed: shardsFailed(resp.Header),
 		next: func() (RecordLine, error) {
 			for {
 				raw, err := rd.ReadBytes('\n')
@@ -557,10 +568,11 @@ func (b *RemoteBackend) Figure4(ctx context.Context, start time.Time, days int) 
 	params.Set("start", start.UTC().Format(time.RFC3339))
 	params.Set("days", strconv.Itoa(days))
 	var series []DailyPoint
-	if err := b.getJSON(ctx, "/figure4", params, &series); err != nil {
+	failed, err := b.getJSON(ctx, "/figure4", params, &series)
+	if err != nil {
 		return nil, err
 	}
-	return &Figure4Result{Series: series}, nil
+	return &Figure4Result{Series: series, ShardsFailed: failed}, nil
 }
 
 // Figure4Sets implements Backend over GET /figure4?shape=sets.
@@ -570,7 +582,7 @@ func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days i
 	params.Set("start", start.UTC().Format(time.RFC3339))
 	params.Set("days", strconv.Itoa(days))
 	var sets Figure4Sets
-	if err := b.getJSON(ctx, "/figure4", params, &sets); err != nil {
+	if _, err := b.getJSON(ctx, "/figure4", params, &sets); err != nil {
 		return nil, err
 	}
 	return &sets, nil
@@ -579,7 +591,7 @@ func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days i
 // LegitimacySummary implements Backend over GET /legitimacy.
 func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error) {
 	sum := newLegitimacySummary()
-	if err := b.getJSON(ctx, "/legitimacy", queryParams(q), sum); err != nil {
+	if _, err := b.getJSON(ctx, "/legitimacy", queryParams(q), sum); err != nil {
 		return nil, err
 	}
 	return sum, nil
@@ -590,7 +602,7 @@ func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*Legiti
 // federation forwards its shards block.
 func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	var stats BackendStats
-	if err := b.getJSON(ctx, "/stats", nil, &stats); err != nil {
+	if _, err := b.getJSON(ctx, "/stats", nil, &stats); err != nil {
 		return nil, err
 	}
 	return &stats, nil

@@ -46,7 +46,10 @@
 # BenchmarkFigure4Scan (the reference full scan) — materialized must
 # stay under 0.1x scan — plus BenchmarkRecordLinesScan (a full NDJSON
 # scan through StoreBackend, the shard's per-line projection and
-# encoding; tracked, not gated).
+# encoding), BenchmarkRegistryValidate (internal/rpki: one RPKI origin
+# validation, a covering walk of the prefix trie) and BenchmarkOriginOf
+# (internal/topology: one origin lookup, a longest-prefix match of the
+# same trie); these three are tracked, not gated.
 #
 # CI gates BenchmarkStoreIngest, BenchmarkStoreIngestGroupCommit,
 # BenchmarkStoreQueryLPM and BenchmarkQueryEnriched against the
@@ -60,12 +63,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-2x}"
-FILTER="${BENCH_FILTER:-BenchmarkEngineThroughput\$|BenchmarkRunWindowParallel|BenchmarkRunStreaming|BenchmarkStoreIngest\$|BenchmarkStoreIngestInstrumented\$|BenchmarkStoreIngestGroupCommit\$|BenchmarkStoreQueryLPM\$|BenchmarkQueryEnriched\$|BenchmarkFederatedQueryLPM\$|BenchmarkCompactTiered\$|BenchmarkRuleMatch\$|BenchmarkRuleMatchBaseline\$|BenchmarkStoreColdOpen\$|BenchmarkStoreFullOpen\$|BenchmarkFigure4Scan\$|BenchmarkFigure4Materialized\$|BenchmarkRecordLinesScan\$}"
+FILTER="${BENCH_FILTER:-BenchmarkEngineThroughput\$|BenchmarkRunWindowParallel|BenchmarkRunStreaming|BenchmarkStoreIngest\$|BenchmarkStoreIngestInstrumented\$|BenchmarkStoreIngestGroupCommit\$|BenchmarkStoreQueryLPM\$|BenchmarkQueryEnriched\$|BenchmarkFederatedQueryLPM\$|BenchmarkCompactTiered\$|BenchmarkRuleMatch\$|BenchmarkRuleMatchBaseline\$|BenchmarkStoreColdOpen\$|BenchmarkStoreFullOpen\$|BenchmarkFigure4Scan\$|BenchmarkFigure4Materialized\$|BenchmarkRecordLinesScan\$|BenchmarkRegistryValidate\$|BenchmarkOriginOf\$}"
 OUT="${BENCH_OUT:-BENCH_$(date +%Y%m%d).json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench "$FILTER" -benchmem -benchtime="$BENCHTIME" . | tee "$RAW"
+go test -run '^$' -bench "$FILTER" -benchmem -benchtime="$BENCHTIME" . ./internal/rpki ./internal/topology | tee "$RAW"
 
 {
   printf '{\n'
